@@ -18,18 +18,15 @@ from .expressions import Expr, ExpressionError, parse_expression
 from .harness import (ExperimentResult, Numerics, ProblemSetup, RouteEstimate,
                       Verdict, run_delta_sweep, run_feynman_kac_check,
                       run_uniqueness_check)
-from .moduli import (EntropyModulus, LogPowerModulus, ModulusFamily,
-                     ProductInequalityReport, SumModulus,
-                     dominating_unit_exponent_cutoff, identity_modulus,
-                     modulus_for_family, osgood_divergence_probe,
+from .moduli import (LogPowerModulus, ProductInequalityReport,
+                     identity_modulus, osgood_divergence_probe,
                      product_inequality_check)
 from .pde import (GridSolution, SpaceGrid, evolution_operator_residual,
                   extract_feedback, solve_pde)
 from .problem import (AssumptionReport, ClauseVerdict, ControlProblemSpec,
                       DriverSpec, ForwardSpec, SampleGrid,
                       check_driver_assumptions, eval_driver,
-                      eval_girsanov_driver, girsanov_shifted_driver,
-                      parabolicity_constant)
+                      girsanov_shifted_driver)
 from .sde import PathEnsemble, TimeGrid, controlled_simulate, simulate
 
 __version__ = "0.1.0"
@@ -37,21 +34,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionReport", "BackwardSolution", "BasisSpec", "ClauseVerdict",
     "ConfigError", "ControlPolicy", "ControlProblemSpec", "CostEstimate",
-    "DomainError", "DriverSpec", "EntropyModulus", "EvaluationError",
-    "ExperimentResult", "Expr", "ExpressionError", "FbsdeLabError",
-    "ForwardSpec", "GridSolution", "LogPowerModulus",
-    "MartingaleResidualReport", "ModulusFamily", "Numerics", "PathEnsemble",
-    "PolicyRanking", "ProblemSetup", "ProductInequalityReport",
-    "RiccatiSolution", "RouteEstimate", "SampleGrid", "SimulationError",
-    "SolverError", "SpaceGrid", "SumModulus", "TimeGrid", "Verdict",
-    "check_driver_assumptions", "compare_policies", "controlled_simulate",
-    "dominating_unit_exponent_cutoff",
-    "estimate_cost", "eval_driver", "eval_girsanov_driver",
+    "DomainError", "DriverSpec", "EvaluationError", "ExperimentResult",
+    "Expr", "ExpressionError", "FbsdeLabError", "ForwardSpec",
+    "GridSolution", "LogPowerModulus", "MartingaleResidualReport",
+    "Numerics", "PathEnsemble", "PolicyRanking", "ProblemSetup",
+    "ProductInequalityReport", "RiccatiSolution", "RouteEstimate",
+    "SampleGrid", "SimulationError", "SolverError", "SpaceGrid",
+    "TimeGrid", "Verdict", "check_driver_assumptions", "compare_policies",
+    "controlled_simulate", "estimate_cost", "eval_driver",
     "evolution_operator_residual", "extract_feedback",
     "girsanov_shifted_driver", "identity_modulus", "martingale_residual",
-    "modulus_for_family", "osgood_divergence_probe", "parabolicity_constant",
-    "parse_expression", "product_inequality_check", "run_delta_sweep",
-    "run_feynman_kac_check", "run_uniqueness_check", "simulate",
-    "solve_girsanov", "solve_lsmc", "solve_pde", "solve_riccati",
-    "solve_transformed",
+    "osgood_divergence_probe", "parse_expression",
+    "product_inequality_check", "run_delta_sweep", "run_feynman_kac_check",
+    "run_uniqueness_check", "simulate", "solve_girsanov", "solve_lsmc",
+    "solve_pde", "solve_riccati", "solve_transformed",
 ]

@@ -19,7 +19,6 @@ as a diagnostic only.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -206,23 +205,6 @@ class BackwardSolution:
     def n_steps(self) -> int:
         return self.Z.shape[1]
 
-    def to_csv(self, path) -> None:
-        times = self.grid.times()
-        n = self.n_paths
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "mean_Y", "stderr_Y", "mean_Z", "clamp_count"])
-            for k in range(self.n_steps + 1):
-                col = self.Y[:, k]
-                zmean = repr(float(self.Z[:, k].mean())) if k < self.n_steps else ""
-                writer.writerow([
-                    repr(float(times[k])),
-                    repr(float(col.mean())),
-                    repr(float(col.std(ddof=1) / np.sqrt(n))) if n > 1 else "0.0",
-                    zmean,
-                    int(self.clamp_counts[k]) if k < self.clamp_counts.size else 0,
-                ])
-
     def gradient_z_estimate(self, ens: PathEnsemble, fwd: ForwardSpec) -> np.ndarray:
         """Diagnostic z: diffusion times the gradient of the fitted conditional mean."""
         basis = _Basis(self.basis, *self.basis_domain)
@@ -234,7 +216,7 @@ class BackwardSolution:
                 continue
             x = ens.states[:, k]
             grad = basis.feature_gradient(x) @ coef
-            out[:, k] = np.asarray(fwd.diffusion(times[k], x), float) * grad
+            out[:, k] = fwd.diffusion(times[k], x) * grad
         return out
 
 
@@ -342,7 +324,7 @@ def solve_lsmc(
     """
     scheme = _pick_scheme(spec, scheme)
     domain = _resolve_domain(basis, ens)
-    terminal = np.asarray(spec.terminal(ens.states[:, -1]), dtype=float)
+    terminal = spec.terminal(ens.states[:, -1])
     if not np.all(np.isfinite(terminal)):
         raise DomainError("terminal values are not finite on the ensemble")
 
@@ -372,13 +354,13 @@ def solve_transformed(
     recovered from the transformed pair afterwards.
     """
     times = ens.grid.times()
-    H = np.asarray(spec.z_quad(times), dtype=float) + np.zeros_like(times)
+    H = spec.z_quad(times)
     if np.any(~np.isfinite(H)) or np.any(H <= 0.0):
         raise DomainError("transform requires z_quad > 0 on the whole grid")
     M = spec.value_floor
     horizon = float(times[-1])
 
-    g_vals = np.asarray(spec.terminal(ens.states[:, -1]), dtype=float)
+    g_vals = spec.terminal(ens.states[:, -1])
     if np.any(g_vals < M - 1e-9):
         raise DomainError(
             "terminal values fall below value_floor; the declared floor is not a lower bound")
@@ -394,12 +376,12 @@ def solve_transformed(
             hdot = float(time_derivative(spec.z_quad, float(t), span=horizon))
         u_safe = np.maximum(u, 1e-15)
         ln_u = np.log(u_safe)
-        bracket = (hdot / Ht) * ln_u + Ht * np.asarray(spec.source(t, x), float)
+        bracket = (hdot / Ht) * ln_u + Ht * spec.source(t, x)
         if spec.y_term is not None:
-            bracket = bracket - Ht * np.asarray(spec.y_term(t, M - ln_u / Ht), float)
+            bracket = bracket - Ht * spec.y_term(t, M - ln_u / Ht)
         out = -u_safe * bracket
         if spec.z_slope is not None:
-            out = out + np.asarray(spec.z_slope(t, x), float) * lam
+            out = out + spec.z_slope(t, x) * lam
         return out
 
     scheme = _pick_scheme(spec, scheme, force_implicit=True)
@@ -436,7 +418,7 @@ def solve_girsanov(
     times = ens0.grid.times()
     for k in (0, ens0.n_steps // 2, ens0.n_steps - 1):
         x = ens0.states[:, k]
-        sig = np.asarray(fwd.diffusion(times[k], x), dtype=float)
+        sig = fwd.diffusion(times[k], x)
         if np.any(np.abs(sig) < 1e-12):
             raise DomainError("sigma is not bounded away from zero on the sampled range")
         step_gap = ens0.states[:, k + 1] - x - sig * ens0.dW[:, k]

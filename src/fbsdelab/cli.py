@@ -22,12 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import BasisSpec
+from .bsde import SCHEMES, BasisSpec
 from .errors import ConfigError, DomainError, FbsdeLabError
 from .expressions import ExpressionError, parse_expression
 from .harness import (Numerics, ProblemSetup, run_delta_sweep,
                       run_feynman_kac_check, run_uniqueness_check)
 from .moduli import LogPowerModulus, identity_modulus
+from .pde import PDE_SCHEMES
 from .problem import (ControlProblemSpec, DriverSpec, ForwardSpec, SampleGrid,
                       check_driver_assumptions)
 
@@ -162,7 +163,10 @@ def _basis_from_label(label: str) -> BasisSpec:
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate config text; collects all errors."""
     errs = _Collector()
-    sections = _read_sections(text, errs)
+    return _validate(_read_sections(text, errs), errs)
+
+
+def _validate(sections: dict, errs: _Collector) -> RunConfig:
     problem = sections.get("problem", {})
     numerics_sec = sections.get("numerics", {})
     experiment_sec = sections.get("experiment", {})
@@ -262,13 +266,13 @@ def parse_config(text: str) -> RunConfig:
     scheme_raw, scheme_line = _take(numerics_sec, "bsde_scheme")
     bsde_scheme = None
     if scheme_raw is not None and scheme_raw != "auto":
-        if scheme_raw not in ("explicit", "one_step_implicit"):
+        if scheme_raw not in SCHEMES:
             errs.add(f"numerics.bsde_scheme: unknown scheme {scheme_raw!r}", scheme_line)
         else:
             bsde_scheme = scheme_raw
     pde_raw, pde_line = _take(numerics_sec, "pde_scheme")
     pde_scheme = pde_raw or "auto"
-    if pde_scheme not in ("imex", "newton_implicit", "auto"):
+    if pde_scheme not in PDE_SCHEMES:
         errs.add(f"numerics.pde_scheme: unknown scheme {pde_raw!r}", pde_line)
         pde_scheme = "auto"
     boundary_raw, boundary_line = _take(numerics_sec, "boundary")
@@ -403,22 +407,18 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 
+    errs = _Collector()
+    sections = _read_sections(text, errs)
+    numerics = sections.setdefault("numerics", {})
+    for key, value in (("seed", args.seed), ("n_paths", args.paths), ("n_steps", args.steps)):
+        if value is not None:   # validated below exactly like the config key
+            numerics[key] = (str(value), None)
     try:
-        config = parse_config(text)
+        config = _validate(sections, errs)
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.paths is not None:
-        overrides["n_paths"] = args.paths
-    if args.steps is not None:
-        overrides["n_steps"] = args.steps
-    if overrides:
-        config = replace(config, numerics=replace(config.numerics, **overrides))
     if args.out_dir is not None:
         config = replace(config, out_dir=args.out_dir)
     if args.verb == "sweep":

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .problem import ControlProblemSpec
+from .problem import ControlProblemSpec, _full_field
 from .sde import TimeGrid, controlled_simulate
 
 
@@ -113,19 +113,21 @@ class ControlPolicy:
     law: Callable
     u_max: float = 1e6
 
+    def __post_init__(self):
+        object.__setattr__(self, "law", _full_field(self.law))
+
     def __call__(self, t, x):
-        u = np.asarray(self.law(t, x), dtype=float)
-        out = np.clip(u, -self.u_max, self.u_max)
+        out = np.clip(self.law(t, x), -self.u_max, self.u_max)
         return out if out.ndim else float(out)
 
     @classmethod
     def zero(cls) -> "ControlPolicy":
-        return cls("zero", lambda t, x: 0.0 * np.asarray(x, float))
+        return cls("zero", lambda t, x: 0.0)
 
     @classmethod
     def constant(cls, c: float) -> "ControlPolicy":
         c = float(c)
-        return cls(f"constant({c:g})", lambda t, x, _c=c: _c + 0.0 * np.asarray(x, float))
+        return cls(f"constant({c:g})", lambda t, x: c)
 
     @classmethod
     def riccati_feedback(cls, ric: RiccatiSolution, u_max: float = 1e6) -> "ControlPolicy":

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 
 class ExpressionError(ValueError):
     """Parse failure, with the offset of the offending token."""
@@ -301,9 +299,3 @@ def time_derivative(fn, t, span: float = 1.0):
         return (fn(t) - fn(t - h)) / h
     return (fn(hi) - fn(lo)) / (2.0 * h)
 
-
-def as_time_function(expr: Expr, name: str):
-    """Wrap an expression in t only; reject any use of x."""
-    if expr.uses("x"):
-        raise DomainError(f"{name} may depend on t only, but uses x: {expr.source!r}")
-    return expr

@@ -141,28 +141,28 @@ class ExperimentResult:
     def write(self, out_dir) -> list:
         """Write routes.csv, verdicts.txt and table.csv (if any); returns paths."""
         os.makedirs(out_dir, exist_ok=True)
-        written = []
-        path = os.path.join(out_dir, "routes.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["route", "value", "stat_err", "disc_err"])
-            for name in self.routes:
-                est = self.routes[name]
-                writer.writerow([name, repr(est.value), repr(est.stat_err), repr(est.disc_err)])
-        written.append(path)
-        path = os.path.join(out_dir, "verdicts.txt")
-        with open(path, "w") as fh:
+        routes = os.path.join(out_dir, "routes.csv")
+        _write_rows(routes, ("route", "value", "stat_err", "disc_err"),
+                    [(name, est.value, est.stat_err, est.disc_err)
+                     for name, est in self.routes.items()])
+        verdicts = os.path.join(out_dir, "verdicts.txt")
+        with open(verdicts, "w") as fh:
             fh.write(self.summary() + "\n")
-        written.append(path)
+        written = [routes, verdicts]
         if self.table:
-            path = os.path.join(out_dir, "table.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(list(self.table_columns))
-                for row in self.table:
-                    writer.writerow([x if isinstance(x, str) else repr(x) for x in row])
-            written.append(path)
+            table = os.path.join(out_dir, "table.csv")
+            _write_rows(table, self.table_columns, self.table)
+            written.append(table)
         return written
+
+
+def _write_rows(path, columns, rows) -> None:
+    """CSV with a header row; numbers are written by repr, so they round-trip exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for row in rows:
+            writer.writerow([x if isinstance(x, str) else repr(x) for x in row])
 
 
 def _applicable_routes(setup: ProblemSetup, tgrid: TimeGrid) -> list:
@@ -172,12 +172,12 @@ def _applicable_routes(setup: ProblemSetup, tgrid: TimeGrid) -> list:
     routes.append("pde")
     routes.append("direct")
     times = tgrid.times()
-    H = np.asarray(setup.driver.z_quad(times), dtype=float)
+    H = setup.driver.z_quad(times)
     if np.all(np.isfinite(H)) and np.all(H > 0.0):
         routes.append("transformed")
     xs = np.linspace(setup.forward.x0 - 1.0, setup.forward.x0 + 1.0, 9)
     sig_ok = all(
-        float(np.min(np.abs(np.asarray(setup.forward.diffusion(t, xs), float)))) > 1e-8
+        float(np.min(np.abs(setup.forward.diffusion(t, xs)))) > 1e-8
         for t in times[:: max(1, len(times) // 8)]
     )
     if sig_ok:

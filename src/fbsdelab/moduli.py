@@ -10,10 +10,9 @@ divergent improper integral at 0+ (the Osgood/Bihari admissibility property
 that drives uniqueness estimates).  The linear tail keeps the function
 increasing beyond the point where x*(ln(1/x))^r would turn over.
 
-The module also ships the modulus families matched to the example driver
-nonlinearities (power, exponential-decay, their sum, and the entropy-type
-u*ln(1/u) nonlinearity) plus numeric probes: a product-inequality check with
-an explicit admissible constant, and an adaptive quadrature probe for the
+The module also ships the identity modulus, matched to Lipschitz-in-u
+nonlinearities, plus numeric probes: a product-inequality check with an
+explicit admissible constant, and an adaptive quadrature probe for the
 divergence of the integral of 1/m.
 """
 
@@ -93,168 +92,12 @@ class LogPowerModulus:
         return max(1.0, (math.log(c) / (2.0 * math.log(1.0 - c))) ** r)
 
 
-def dominating_unit_exponent_cutoff(m: LogPowerModulus) -> float:
-    """Cutoff c1 <= e^(exponent - 2) such that the unit-exponent modulus with
-    cutoff c1 strictly dominates ``m`` on all of (0, 1].
-
-    Uniform dominance needs the unit-exponent tail at least as steep as m's
-    tail, i.e. ln(1/c1) - 1 >= m.slope_at_cutoff; picking
-    c1 = min(cutoff, exp(-(1 + slope))) guarantees it together with the core
-    comparison x (ln 1/x)^r < x ln(1/x) below c1.  (The slope at the cutoff
-    exceeds 1 - r whenever the cutoff is below e^-1, so the bare choice
-    e^(r-2) is not always steep enough.)
-    """
-    if m.exponent >= 1.0:
-        raise DomainError("dominance construction applies to exponents below 1")
-    c1 = min(m.cutoff, math.exp(-(1.0 + m.slope_at_cutoff)))
-    return min(c1, math.exp(m.exponent - 2.0))
-
-
-@dataclass(frozen=True)
-class EntropyModulus:
-    """m(x) = scale * x ln(1/x) ln(ln(1/x)) with the same linear-tail trick.
-
-    The core is increasing and concave only where (L-1) ln L > 1 for
-    L = ln(1/x), so the cutoff must sit below exp(-L*) with L* ~ 2.26; the
-    constructor enforces a positive tail slope.
-    """
-
-    cutoff: float = 0.05
-    scale: float = 1.0
-    value_at_cutoff: float = field(init=False)
-    slope_at_cutoff: float = field(init=False)
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            raise DomainError("scale must be positive")
-        c = self.cutoff
-        if not 0.0 < c < math.exp(-1.0):
-            raise DomainError(f"cutoff must be in (0, e^-1), got {c}")
-        L = math.log(1.0 / c)
-        slope = self.scale * (L * math.log(L) - math.log(L) - 1.0)
-        if slope <= 0.0:
-            raise DomainError(
-                f"cutoff {c} gives a non-increasing tail; need (L-1) ln L > 1 at L = ln(1/cutoff)"
-            )
-        object.__setattr__(self, "value_at_cutoff", self.scale * c * L * math.log(L))
-        object.__setattr__(self, "slope_at_cutoff", slope)
-
-    def __call__(self, x):
-        x = _as_array(x)
-        if np.any(x < 0.0):
-            raise DomainError("modulus argument must be >= 0")
-        out = np.zeros_like(x)
-        core = (x > 0.0) & (x <= self.cutoff)
-        tail = x > self.cutoff
-        xc = x[core]
-        L = np.log(1.0 / xc)
-        out[core] = self.scale * xc * L * np.log(L)
-        out[tail] = self.value_at_cutoff + self.slope_at_cutoff * (x[tail] - self.cutoff)
-        return out if out.ndim else float(out)
-
-
 def identity_modulus(x):
     """m(x) = x, the modulus matched to Lipschitz-in-u nonlinearities."""
     x = _as_array(x)
     if np.any(x < 0.0):
         raise DomainError("modulus argument must be >= 0")
     return x if x.ndim else float(x)
-
-
-@dataclass(frozen=True)
-class SumModulus:
-    """Pointwise sum of two moduli (sum of concave increasing is concave increasing)."""
-
-    first: Callable
-    second: Callable
-
-    def __call__(self, x):
-        return self.first(x) + self.second(x)
-
-
-@dataclass(frozen=True)
-class ModulusFamily:
-    """A named driver nonlinearity u -> lambda(t, u) with its matched modulus.
-
-    variant:
-        'power'            alpha(t) * u^r        (concave in u)
-        'exponential'      exp(-beta(t) * u)     (convex in u)
-        'power_plus_exponential'   alpha(t) u^r + exp(-beta(t) u)
-        'entropy'          scale * u * ln(1/u)   (superlinear near 0)
-
-    ``coefficient`` is alpha(t) for the power variants, beta(t) for the
-    exponential one and the scalar scale for 'entropy'; ``coefficient2`` is
-    beta(t) of the sum variant.  Coefficients may be scalars or functions
-    of t and must be nonnegative.
-    """
-
-    variant: str
-    exponent: float = 1.0          # r of u^r
-    coefficient: Callable | float = 1.0
-    coefficient2: Callable | float = 1.0
-    cutoff: float | None = None    # branch point of the matched modulus
-
-    _VARIANTS = ("power", "exponential", "power_plus_exponential", "entropy")
-
-    def __post_init__(self):
-        if self.variant not in self._VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}; expected one of {self._VARIANTS}")
-        if self.variant in ("power", "power_plus_exponential") and not 0.0 < self.exponent <= 1.0:
-            raise DomainError("power variant requires exponent in (0, 1]")
-        if self.variant == "entropy":
-            if callable(self.coefficient):
-                raise DomainError("entropy variant takes a scalar scale")
-            if self.coefficient <= 0.0:
-                raise DomainError("entropy variant requires a positive scale")
-        if _coeff_min(self.coefficient) < 0.0 or _coeff_min(self.coefficient2) < 0.0:
-            raise DomainError("coefficients must be nonnegative")
-
-    def nonlinearity(self) -> Callable:
-        """The (t, u) -> lambda(t, u) callable of this family."""
-        c1 = _as_time_coeff(self.coefficient)
-        c2 = _as_time_coeff(self.coefficient2)
-        if self.variant == "power":
-            return lambda t, u: c1(t) * np.maximum(u, 0.0) ** self.exponent
-        if self.variant == "exponential":
-            return lambda t, u: np.exp(-c1(t) * u)
-        if self.variant == "power_plus_exponential":
-            return lambda t, u: (
-                c1(t) * np.maximum(u, 0.0) ** self.exponent + np.exp(-c2(t) * u)
-            )
-        scale = float(self.coefficient)
-        return lambda t, u: scale * np.where(u > 0.0, u * np.log(1.0 / np.maximum(u, 1e-300)), 0.0)
-
-    def modulus(self) -> Callable:
-        """The concave modulus matched to this nonlinearity."""
-        return modulus_for_family(self)
-
-
-def _coeff_min(c) -> float:
-    if callable(c):
-        return float(np.min(c(np.linspace(0.0, 1.0, 33))))
-    return float(c)
-
-
-def _as_time_coeff(c) -> Callable:
-    if callable(c):
-        return c
-    return lambda t, _c=float(c): _c
-
-
-def modulus_for_family(family: ModulusFamily) -> Callable:
-    """Concave modulus paired with each shipped nonlinearity family."""
-    if family.variant == "power":
-        cut = family.cutoff if family.cutoff is not None else 0.9 * math.exp(-family.exponent)
-        return LogPowerModulus(cutoff=cut, exponent=family.exponent)
-    if family.variant == "exponential":
-        return identity_modulus
-    if family.variant == "power_plus_exponential":
-        cut = family.cutoff if family.cutoff is not None else 0.9 * math.exp(-family.exponent)
-        return SumModulus(LogPowerModulus(cutoff=cut, exponent=family.exponent), identity_modulus)
-    if family.variant == "entropy":
-        return EntropyModulus(cutoff=family.cutoff if family.cutoff is not None else 0.05,
-                              scale=float(family.coefficient))
-    raise DomainError(f"unknown variant {family.variant!r}")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ pins the edge values to a supplied profile(t, x).
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,8 +32,6 @@ BOUNDARIES = ("linear_extrapolation", "dirichlet_from_profile")
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
 STIFFNESS_SWITCH = 0.1   # auto: use Newton when z_quad * dt * max|v_x| exceeds this
-
-_MAGIC = b"GRIDSOL\x01"
 
 
 @dataclass(frozen=True)
@@ -129,45 +125,6 @@ class GridSolution:
 
     def gradient(self, t, x):
         return self._bilinear(self._vx, t, x)
-
-    def to_csv(self, path) -> None:
-        times = self.tgrid.times()
-        xs = self.sgrid.nodes()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "v", "v_x"])
-            for i, t in enumerate(times):
-                for j, x in enumerate(xs):
-                    writer.writerow([repr(float(t)), repr(float(x)),
-                                     repr(float(self.v[i, j])), repr(float(self._vx[i, j]))])
-
-    def to_binary(self, path) -> None:
-        """Compact dump. Little-endian layout:
-
-        8-byte magic 'GRIDSOL\\x01'; int64 n_time, n_space; float64 t_start,
-        t_end, x_lo, x_hi; then v row-major (n_time * n_space float64); then
-        v_x in the same layout.
-        """
-        nt, nx = self.v.shape
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<qq", nt, nx))
-            fh.write(struct.pack("<dddd", self.tgrid.t_start, self.tgrid.t_end,
-                                 self.sgrid.x_lo, self.sgrid.x_hi))
-            fh.write(np.ascontiguousarray(self.v, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self._vx, dtype="<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "GridSolution":
-        with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise DomainError("not a grid-solution dump")
-            nt, nx = struct.unpack("<qq", fh.read(16))
-            t0, t1, x0, x1 = struct.unpack("<dddd", fh.read(32))
-            v = np.frombuffer(fh.read(nt * nx * 8), dtype="<f8").reshape(nt, nx)
-            # stored gradient is recomputed identically on load; skip the tail
-        return cls(TimeGrid(t0, t1, nt - 1), SpaceGrid(x0, x1, nx), v.copy(),
-                   scheme="loaded", boundary="loaded")
 
 
 def _boundary_relations(boundary: str, profile, t: float, xs: np.ndarray):
@@ -273,7 +230,7 @@ def solve_pde(
     n_t = tgrid.n_steps
 
     v = np.empty((n_t + 1, sgrid.n_points))
-    v[n_t] = np.asarray(spec.terminal(xs), dtype=float)
+    v[n_t] = spec.terminal(xs)
     if not np.all(np.isfinite(v[n_t])):
         j = int(np.argmax(~np.isfinite(v[n_t])))
         raise SolverError(f"terminal condition non-finite at x={xs[j]:.6g}", step=n_t)
@@ -283,8 +240,8 @@ def solve_pde(
         t = float(times[k])
         t_next = float(times[k + 1])
         v_next = v[k + 1]
-        mu_k = np.asarray(fwd.drift(t, xin), dtype=float) + 0.0 * xin
-        sig_k = np.asarray(fwd.diffusion(t, xin), dtype=float) + 0.0 * xin
+        mu_k = fwd.drift(t, xin)
+        sig_k = fwd.diffusion(t, xin)
         lower, diag_op, upper = _advection_diffusion_diagonals(mu_k, sig_k ** 2, dx)
         rel_lo, rel_hi = _boundary_relations(boundary, boundary_profile, t, xs)
 
@@ -296,9 +253,8 @@ def solve_pde(
 
         if not use_newton:
             vx_next = _central_gradient(v_next, dx)[1:-1]
-            sig_next = np.asarray(fwd.diffusion(t_next, xin), dtype=float) + 0.0 * xin
-            f_expl = np.asarray(
-                eval_driver(spec, t_next, xin, v_next[1:-1], sig_next * vx_next), dtype=float)
+            sig_next = fwd.diffusion(t_next, xin)
+            f_expl = eval_driver(spec, t_next, xin, v_next[1:-1], sig_next * vx_next)
             rhs = v_next[1:-1] + dt * f_expl
             w_int = _solve_interior(-dt * lower, 1.0 - dt * diag_op, -dt * upper,
                                     rhs, rel_lo, rel_hi)
@@ -312,7 +268,7 @@ def solve_pde(
 
             def residual(full):
                 vx = (full[2:] - full[:-2]) / (2.0 * dx)
-                f_val = np.asarray(eval_driver(spec, t, xin, full[1:-1], sig_k * vx), float)
+                f_val = eval_driver(spec, t, xin, full[1:-1], sig_k * vx)
                 advdiff = lower * full[:-2] + diag_op * full[1:-1] + upper * full[2:]
                 return v_next[1:-1] - full[1:-1] + dt * (advdiff + f_val)
 
@@ -325,13 +281,12 @@ def solve_pde(
                     break
                 vx = (w[2:] - w[:-2]) / (2.0 * dx)
                 z = sig_k * vx
-                h_slope = (np.asarray(spec.z_slope(t, xin), float)
-                           if spec.z_slope is not None else 0.0)
+                h_slope = spec.z_slope(t, xin) if spec.z_slope is not None else 0.0
                 dF_dz = h_slope - H_k * z
                 if spec.y_term is not None:
                     h_y = 1e-6 * np.maximum(1.0, np.abs(w[1:-1]))
-                    dF_dv = -(np.asarray(spec.y_term(t, w[1:-1] + h_y), float)
-                              - np.asarray(spec.y_term(t, w[1:-1] - h_y), float)) / (2 * h_y)
+                    dF_dv = -(spec.y_term(t, w[1:-1] + h_y)
+                              - spec.y_term(t, w[1:-1] - h_y)) / (2 * h_y)
                 else:
                     dF_dv = np.zeros_like(xin)
                 jac_lower = dt * (lower - dF_dz * sig_k / (2.0 * dx))
@@ -394,9 +349,9 @@ def evolution_operator_residual(
         v_t = (v[k + 1, 1:-1] - v[k - 1, 1:-1]) / (2.0 * dt)
         v_x = (v[k, 2:] - v[k, :-2]) / (2.0 * dx)
         v_xx = (v[k, 2:] - 2.0 * v[k, 1:-1] + v[k, :-2]) / dx ** 2
-        mu = np.asarray(fwd.drift(t, xin), float) + 0.0 * xin
-        sig = np.asarray(fwd.diffusion(t, xin), float) + 0.0 * xin
-        f_val = np.asarray(eval_driver(spec, t, xin, v[k, 1:-1], sig * v_x), float)
+        mu = fwd.drift(t, xin)
+        sig = fwd.diffusion(t, xin)
+        f_val = eval_driver(spec, t, xin, v[k, 1:-1], sig * v_x)
         rows.append(v_t + mu * v_x + 0.5 * sig ** 2 * v_xx + f_val)
     if not rows:
         return OperatorResidual(field=np.zeros((0, xs.size - 2)), max_abs=0.0, mean_abs=0.0)

@@ -14,7 +14,7 @@ witnesses while passes are evidence, not proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,26 +22,33 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 
-def _tx_field(c) -> Callable:
-    """Normalize a scalar or callable to a vectorized (t, x) field."""
-    if callable(c):
+def _full_field(c) -> Callable:
+    """Make a scalar or callable coefficient return full-shape float arrays.
+
+    The wrapped coefficient returns an array of the broadcast shape of its
+    arguments (a numpy scalar when they are all scalars), so no caller patches
+    shapes.  The spec constructors apply it once; it is idempotent, and it
+    keeps an expression tree's exact ``dt`` reachable for ``time_derivative``.
+    """
+    if getattr(c, "full_shape", False):
         return c
-    value = float(c)
-    return lambda t, x, _v=value: _v + 0.0 * np.asarray(t, float) + 0.0 * np.asarray(x, float)
+    fn = c if callable(c) else (lambda *args, _v=float(c): _v)
 
+    def full(*args):
+        out = np.asarray(fn(*args), dtype=float)
+        shape = out.shape
+        for a in args:
+            s = () if isinstance(a, (int, float)) else np.shape(a)   # skips a slow np.shape
+            if s and s != shape:
+                shape = np.broadcast_shapes(shape, s) if shape else s
+        if out.shape != shape:
+            out = np.full(shape, out)
+        return out if shape else out[()]
 
-def _x_field(c) -> Callable:
-    if callable(c):
-        return c
-    value = float(c)
-    return lambda x, _v=value: _v + 0.0 * np.asarray(x, float)
-
-
-def _t_field(c) -> Callable:
-    if callable(c):
-        return c
-    value = float(c)
-    return lambda t, _v=value: np.asarray(t, float) * 0.0 + _v
+    full.full_shape = True
+    if hasattr(c, "dt"):
+        full.dt = c.dt
+    return full
 
 
 @dataclass(frozen=True)
@@ -52,13 +59,12 @@ class ForwardSpec:
     sigma: Callable | float
     x0: float
     horizon: float
-    parabolicity_floor: float | None = None   # declared c with sigma >= c > 0, if any
 
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
-        object.__setattr__(self, "mu", _tx_field(self.mu))
-        object.__setattr__(self, "sigma", _tx_field(self.sigma))
+        object.__setattr__(self, "mu", _full_field(self.mu))
+        object.__setattr__(self, "sigma", _full_field(self.sigma))
         object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "horizon", float(self.horizon))
 
@@ -67,24 +73,6 @@ class ForwardSpec:
 
     def diffusion(self, t, x):
         return _checked_eval("sigma", self.sigma, t, x)
-
-    def verify_parabolicity_floor(self, grid: "SampleGrid"):
-        """Sample the declared diffusion floor; returns a violating (t, x) or None.
-
-        Only meaningful when ``parabolicity_floor`` is set; sampling evidence,
-        not proof.
-        """
-        if self.parabolicity_floor is None:
-            raise DomainError("no parabolicity floor was declared for this problem")
-        if not self.parabolicity_floor > 0.0:
-            raise DomainError("a declared parabolicity floor must be positive")
-        for t in grid.t:
-            sig = np.asarray(self.diffusion(t, grid.x), dtype=float) + np.zeros_like(grid.x)
-            bad = sig < self.parabolicity_floor
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                return (float(t), float(grid.x[i]))
-        return None
 
 
 @dataclass(frozen=True)
@@ -106,11 +94,9 @@ class DriverSpec:
     value_floor: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "source", _tx_field(self.source))
-        object.__setattr__(self, "z_quad", _t_field(self.z_quad))
-        object.__setattr__(self, "terminal", _x_field(self.terminal))
-        if self.z_slope is not None:
-            object.__setattr__(self, "z_slope", _tx_field(self.z_slope))
+        for name in ("source", "z_quad", "terminal", "z_slope", "y_term"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _full_field(getattr(self, name)))
         if not np.isfinite(self.value_floor):
             raise DomainError("value_floor must be finite")
 
@@ -149,34 +135,26 @@ class ControlProblemSpec:
         if self.terminal_weight < 0.0:
             raise DomainError("terminal_weight must be >= 0")
         for name in ("A", "B", "sigma", "target", "control_weight"):
-            object.__setattr__(self, name, _t_field(getattr(self, name)))
+            object.__setattr__(self, name, _full_field(getattr(self, name)))
         ts = np.linspace(0.0, self.horizon, 65)
-        k1 = np.asarray(self.control_weight(ts), dtype=float)
+        k1 = self.control_weight(ts)
         if not np.all(np.isfinite(k1)) or np.any(k1 <= 0.0):
             raise DomainError("control_weight must be positive on [0, horizon]")
-
-    def coefficient_bounds(self, n: int = 129) -> dict:
-        """Sampled magnitude bounds for B and sigma (bounded-away check)."""
-        ts = np.linspace(0.0, self.horizon, n)
-        return {
-            "min_abs_B": float(np.min(np.abs(self.B(ts)))),
-            "min_abs_sigma": float(np.min(np.abs(self.sigma(ts)))),
-        }
 
     def drift(self, t, x):
         return self.A(t) * x - self.delta * x ** 3
 
     def uncontrolled_forward(self) -> ForwardSpec:
         return ForwardSpec(
-            mu=lambda t, x: self.A(t) * x - self.delta * x ** 3,
-            sigma=lambda t, x: self.sigma(t) + 0.0 * np.asarray(x, float),
+            mu=self.drift,
+            sigma=lambda t, x: self.sigma(t),
             x0=self.x0,
             horizon=self.horizon,
         )
 
     def hamiltonian_quad_coefficient(self, t):
         """H(t) = B^2 / (2 k1 sigma^2), the z-curvature of the reduced driver."""
-        sig = np.asarray(self.sigma(t), dtype=float)
+        sig = self.sigma(t)
         if np.any(sig == 0.0):
             raise DomainError("sigma vanishes; the reduced quadratic driver is undefined")
         return self.B(t) ** 2 / (2.0 * self.control_weight(t) * sig ** 2)
@@ -218,42 +196,27 @@ def eval_driver(spec: DriverSpec, t, x, y, z):
     return out if np.ndim(out) else float(out)
 
 
-def eval_girsanov_driver(spec: DriverSpec, fwd: ForwardSpec, t, x, y, z):
-    """Drift-eliminated driver: F plus (mu/sigma) z.
-
-    This is the driver that represents the same backward value on driftless
-    forward paths; it requires a nonvanishing diffusion.
-    """
-    sig = np.asarray(fwd.diffusion(t, x), dtype=float)
-    if np.any(sig == 0.0):
-        tb, xb = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
-        bad = int(np.argmax(np.atleast_1d(sig) == 0.0))
-        point = (float(np.atleast_1d(tb).flat[min(bad, tb.size - 1)]),
-                 float(np.atleast_1d(xb).flat[min(bad, xb.size - 1)]))
-        raise DomainError(
-            f"sigma(t, x) = 0 at {point}; drift elimination is inapplicable there"
-        )
-    shift = np.asarray(fwd.drift(t, x), dtype=float) / sig * np.asarray(z, dtype=float)
-    out = eval_driver(spec, t, x, y, z) + shift
-    return out if np.ndim(out) else float(out)
-
-
 def girsanov_shifted_driver(spec: DriverSpec, fwd: ForwardSpec) -> DriverSpec:
     """DriverSpec whose z_slope absorbs the mu/sigma drift shift.
 
-    Evaluating the returned driver equals ``eval_girsanov_driver`` on the
-    original pair; the quadratic structure is preserved because the shift is
-    linear in z.
+    The returned driver is F plus (mu/sigma) z: it represents the same
+    backward value on driftless forward paths.  The quadratic structure is
+    preserved because the shift is linear in z.  Evaluating it where sigma
+    vanishes raises ``DomainError`` naming the (t, x) point.
     """
     base = spec.z_slope
 
     def shifted(t, x):
-        sig = np.asarray(fwd.diffusion(t, x), dtype=float)
+        sig = fwd.diffusion(t, x)
         if np.any(sig == 0.0):
-            raise DomainError("sigma vanishes on the sampled points; cannot shift the driver")
-        out = np.asarray(fwd.drift(t, x), dtype=float) / sig
+            tb, xb = np.broadcast_arrays(t, x)
+            bad = int(np.argmax(np.atleast_1d(sig) == 0.0))
+            point = (float(tb.flat[bad]), float(xb.flat[bad]))
+            raise DomainError(
+                f"sigma(t, x) = 0 at {point}; drift elimination is inapplicable there")
+        out = fwd.drift(t, x) / sig
         if base is not None:
-            out = out + np.asarray(base(t, x), dtype=float)
+            out = out + base(t, x)
         return out
 
     return DriverSpec(
@@ -373,7 +336,7 @@ def check_driver_assumptions(
     ts, xs, uv = grid.t, grid.x, grid.uv
 
     # (i) z_quad positive, bounded away from zero, with a derivative-continuity probe
-    H = np.asarray(spec.z_quad(ts), dtype=float) + np.zeros_like(ts)
+    H = spec.z_quad(ts)
     verdict = None
     if not np.all(np.isfinite(H)):
         i = int(np.argmax(~np.isfinite(H)))
@@ -408,7 +371,7 @@ def check_driver_assumptions(
     # (ii) source nonnegative
     verdict = None
     for t in ts:
-        fvals = np.asarray(spec.source(t, xs), dtype=float) + np.zeros_like(xs)
+        fvals = spec.source(t, xs)
         if not np.all(np.isfinite(fvals)):
             i = int(np.argmax(~np.isfinite(fvals)))
             verdict = ClauseVerdict("source_nonnegative", False,
@@ -459,7 +422,7 @@ def check_driver_assumptions(
     clauses["y_term_modulus_bound"] = verdict
 
     # (iv) terminal bounded below by the declared floor
-    gvals = np.asarray(spec.terminal(xs), dtype=float) + np.zeros_like(xs)
+    gvals = spec.terminal(xs)
     if not np.all(np.isfinite(gvals)):
         i = int(np.argmax(~np.isfinite(gvals)))
         verdict = ClauseVerdict("terminal_above_floor", False, witness=(float(xs[i]),),
@@ -479,7 +442,7 @@ def check_driver_assumptions(
     hmax = 0.0
     if spec.z_slope is not None:
         for t in ts:
-            hv = np.asarray(spec.z_slope(t, xs), dtype=float) + np.zeros_like(xs)
+            hv = spec.z_slope(t, xs)
             if not np.all(np.isfinite(hv)):
                 i = int(np.argmax(~np.isfinite(hv)))
                 verdict = ClauseVerdict("z_slope_bounded", False,
@@ -496,10 +459,8 @@ def check_driver_assumptions(
     verdict = None
     for t in ts:
         Ht = float(spec.z_quad(t))
-        hv = (np.asarray(spec.z_slope(t, xs), float) + np.zeros_like(xs)
-              if spec.z_slope is not None else np.zeros_like(xs))
-        expr = 2.0 * Ht * np.asarray(spec.source(t, xs), float) - hv ** 2 / gamma \
-            + np.zeros_like(xs)
+        hv = spec.z_slope(t, xs) if spec.z_slope is not None else 0.0
+        expr = 2.0 * Ht * spec.source(t, xs) - hv ** 2 / gamma
         if np.any(expr < -floor_tol):
             i = int(np.argmax(expr < -floor_tol))
             verdict = ClauseVerdict("source_dominates_z_slope", False,
@@ -515,15 +476,3 @@ def check_driver_assumptions(
         resolution={"n_t": int(ts.size), "n_x": int(xs.size), "n_uv": int(uv.size)},
         gamma=gamma,
     )
-
-
-def parabolicity_constant(fwd: ForwardSpec, grid: SampleGrid) -> float | None:
-    """Minimum of sigma over the sampled grid, or None if it is not positive."""
-    ts, xs = grid.t, grid.x
-    lo = np.inf
-    for t in ts:
-        sig = np.asarray(fwd.diffusion(t, xs), dtype=float)
-        if np.any(sig <= 0.0):
-            return None
-        lo = min(lo, float(np.min(sig)))
-    return lo

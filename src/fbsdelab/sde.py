@@ -12,9 +12,7 @@ can explode.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -100,53 +98,37 @@ class PathEnsemble:
             "max_abs_var_dev_over_se": float(np.max(np.abs(variances - dt)) / var_se),
         }
 
-    def to_csv(self, path) -> None:
-        """One row per (path, step): path_id, t, X, dW (dW empty at the last node)."""
-        times = self.grid.times()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path_id", "t", "X", "dW"])
-            for i in range(self.n_paths):
-                for k in range(self.n_steps + 1):
-                    dw = repr(float(self.dW[i, k])) if k < self.n_steps else ""
-                    writer.writerow([i, repr(float(times[k])), repr(float(self.states[i, k])), dw])
-
 
 def brownian_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
     """Increments for paths 0..n_paths-1 from per-block Philox substreams."""
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    key0 = seed % (2 ** 64)
     out = np.empty((n_paths, n_steps))
     for block in range(0, n_paths, _BLOCK):
         rows = min(_BLOCK, n_paths - block)
-        gen = np.random.Generator(np.random.Philox(key=[key0, block // _BLOCK]))
+        # a uint64 array keeps every seed's bits; a Python list would be cast
+        # through float64 and collapse all seeds >= 2**63 (every negative one)
+        key = np.array([seed % 2 ** 64, block // _BLOCK], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
         out[block:block + rows] = gen.standard_normal((rows, n_steps))
     return out * np.sqrt(dt)
 
 
-def _march(
-    drift: Callable,
-    diffusion: Callable,
-    x0: float,
-    grid: TimeGrid,
-    dW: np.ndarray,
-    scheme: str,
-) -> np.ndarray:
+def _march(fwd: ForwardSpec, grid: TimeGrid, dW: np.ndarray, scheme: str) -> np.ndarray:
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     n_paths, n_steps = dW.shape
     dt = grid.dt
     times = grid.times()
     states = np.empty((n_paths, n_steps + 1))
-    states[:, 0] = x0
+    states[:, 0] = fwd.x0
     x = states[:, 0].copy()
     for k in range(n_steps):
         t = times[k]
-        mu = np.asarray(drift(t, x), dtype=float) + np.zeros_like(x)
+        mu = fwd.mu(t, x)
         if scheme == "tamed_euler":
             mu = mu / (1.0 + dt * np.abs(mu))
-        x = x + mu * dt + np.asarray(diffusion(t, x), dtype=float) * dW[:, k]
+        x = x + mu * dt + fwd.sigma(t, x) * dW[:, k]
         bad = ~np.isfinite(x)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -168,7 +150,7 @@ def simulate(
 ) -> PathEnsemble:
     """Simulate the forward diffusion; reproducible bit for bit per (seed, grid, n_paths, scheme)."""
     dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
-    states = _march(fwd.mu, fwd.sigma, fwd.x0, grid, dW, scheme)
+    states = _march(fwd, grid, dW, scheme)
     return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed, scheme=scheme)
 
 
@@ -186,13 +168,8 @@ def controlled_simulate(
     zero the ensemble matches the uncontrolled one bit for bit on the same
     seed.  Taming (when selected) applies to the whole controlled drift.
     """
-
-    def drift(t, x):
-        return cps.drift(t, x) + cps.B(t) * policy(t, x)
-
-    def diffusion(t, x):
-        return cps.sigma(t) + 0.0 * x
-
+    fwd = ForwardSpec(mu=lambda t, x: cps.drift(t, x) + cps.B(t) * policy(t, x),
+                      sigma=lambda t, x: cps.sigma(t), x0=cps.x0, horizon=cps.horizon)
     dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
-    states = _march(drift, diffusion, cps.x0, grid, dW, scheme)
+    states = _march(fwd, grid, dW, scheme)
     return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed, scheme=scheme)

@@ -137,15 +137,6 @@ class TestSolveLsmc:
         corr = np.corrcoef(a, b)[0, 1]
         assert corr >= 0.95
 
-    def test_solution_csv(self, tmp_path):
-        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 4), 500, seed=9)
-        sol = fl.solve_lsmc(ens, driver(terminal=lambda x: x), fl.BasisSpec("polynomial", 1))
-        path = tmp_path / "solution.csv"
-        sol.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,mean_Y,stderr_Y,mean_Z,clamp_count"
-        assert len(lines) == 1 + 5
-
 
 class TestSolveTransformed:
     def test_constant_terminal_fixed_point(self):

@@ -150,6 +150,19 @@ class TestMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, flag, value", [
+        ("lqr_condition.cfg", "--paths", "0"),
+        ("lqr_condition.cfg", "--paths", "-3"),
+        ("lqr_condition.cfg", "--steps", "0"),
+        ("heat.cfg", "--steps", "0"),
+    ])
+    def test_invalid_override_exits_2_like_config_key(self, tmp_path, capsys, cfg, flag, value):
+        key = {"--paths": "n_paths", "--steps": "n_steps"}[flag]
+        code = self.run_main("run", str(CONFIG_DIR / cfg), flag, value,
+                             "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert f"config error: numerics.{key}: must be >= 1" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         code = self.run_main("run", "no_such_file.cfg")
         assert code == 2

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsdelab.errors import DomainError
-from fbsdelab.expressions import (ExpressionError, as_time_function,
-                                  parse_expression, time_derivative)
+from fbsdelab.expressions import ExpressionError, parse_expression, time_derivative
 
 
 def test_arithmetic_and_precedence():
@@ -67,9 +65,7 @@ def test_parse_errors_carry_position(bad, column):
     assert err.value.position + 1 == column
 
 
-def test_uses_and_time_only_guard():
+def test_uses():
     e = parse_expression("t + x")
     assert e.uses("t") and e.uses("x")
-    with pytest.raises(DomainError):
-        as_time_function(e, "A")
-    assert as_time_function(parse_expression("2*t"), "A")(3.0) == 6.0
+    assert not parse_expression("2*t").uses("x")

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbsdelab.errors import DomainError
-from fbsdelab.moduli import (EntropyModulus, LogPowerModulus, ModulusFamily,
-                             dominating_unit_exponent_cutoff,
-                             SumModulus, identity_modulus, modulus_for_family,
+from fbsdelab.moduli import (LogPowerModulus, identity_modulus,
                              osgood_divergence_probe, product_inequality_check)
 
 # footnote ceiling of the admissible constant as cutoff -> e^-1, exponent 1
@@ -90,19 +88,6 @@ class TestLogPowerModulus:
         m = LogPowerModulus(cut_frac * math.exp(-r), r)
         mid = theta * x + (1.0 - theta) * y
         assert m(mid) >= theta * m(x) + (1.0 - theta) * m(y) - 1e-12
-
-    def test_unit_exponent_dominates_smaller_exponents(self):
-        # for exponent < 1 there is a unit-exponent modulus with cutoff in
-        # (0, e^(r-2)] that strictly dominates on (0, 1]
-        xs = np.linspace(1e-9, 1.0, 2001)
-        for r in (0.3, 0.6, 0.9):
-            for cut_frac in (0.5, 0.9, 0.999):
-                m_r = LogPowerModulus(cut_frac * math.exp(-r), r)
-                c1 = dominating_unit_exponent_cutoff(m_r)
-                assert c1 <= math.exp(r - 2.0)
-                m_1 = LogPowerModulus(c1, 1.0)
-                assert np.all(m_r(xs) < m_1(xs)), (r, cut_frac)
-
 
 class TestProductInequality:
     def test_hand_computed_tail_pair(self):
@@ -204,59 +189,3 @@ class TestOsgoodProbe:
         with pytest.raises(DomainError):
             osgood_divergence_probe(lambda x: np.asarray(x) - 0.5, 0.1, 1.0)
 
-
-class TestModulusFamilies:
-    def test_exponential_family_has_identity_modulus(self):
-        fam = ModulusFamily("exponential", coefficient=1.0)
-        mod = fam.modulus()
-        assert mod(0.25) == 0.25
-
-    def test_sum_family_modulus_is_sum(self):
-        fam = ModulusFamily("power_plus_exponential", exponent=1.0, cutoff=0.3)
-        mod = fam.modulus()
-        base = LogPowerModulus(cutoff=0.3, exponent=1.0)
-        x = 0.17
-        assert mod(x) == pytest.approx(base(x) + x, rel=1e-14)
-
-    def test_power_family_value(self):
-        fam = ModulusFamily("power", exponent=1.0, coefficient=1.0, cutoff=0.3)
-        lam = fam.nonlinearity()
-        x = math.exp(-2.0)
-        assert lam(0.0, x) == pytest.approx(x, rel=1e-14)
-        assert fam.modulus()(x) == pytest.approx(2.0 * x, rel=1e-14)
-
-    def test_entropy_family_modulus_shape(self):
-        fam = ModulusFamily("entropy", coefficient=2.0, cutoff=0.05)
-        mod = fam.modulus()
-        assert isinstance(mod, EntropyModulus)
-        x = 0.01
-        expected = 2.0 * x * math.log(1.0 / x) * math.log(math.log(1.0 / x))
-        assert mod(x) == pytest.approx(expected, rel=1e-14)
-        # linearized beyond the cutoff, continuous and increasing at the seam
-        lo, hi = mod(0.05 - 1e-12), mod(0.05 + 1e-12)
-        assert abs(lo - hi) < 1e-10
-        xs = np.linspace(1e-6, 1.0, 500)
-        assert np.all(np.diff(mod(xs)) > 0)
-
-    def test_entropy_modulus_rejects_flat_cutoff(self):
-        # beyond exp(-L*) with (L-1) ln L = 1 the core turns over
-        with pytest.raises(DomainError):
-            EntropyModulus(cutoff=0.2)
-
-    def test_family_validation(self):
-        with pytest.raises(DomainError):
-            ModulusFamily("nope")
-        with pytest.raises(DomainError):
-            ModulusFamily("power", exponent=1.4)
-        with pytest.raises(DomainError):
-            ModulusFamily("power", coefficient=-1.0)
-        with pytest.raises(DomainError):
-            ModulusFamily("entropy", coefficient=0.0)
-
-    def test_sum_modulus_composes(self):
-        m = SumModulus(identity_modulus, identity_modulus)
-        assert m(0.3) == pytest.approx(0.6)
-
-    def test_modulus_for_family_matches_method(self):
-        fam = ModulusFamily("power", exponent=0.5, cutoff=0.2)
-        assert modulus_for_family(fam)(0.1) == fam.modulus()(0.1)

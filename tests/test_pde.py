@@ -224,31 +224,3 @@ class TestFeedbackExtraction:
         assert policy(0.2, 9.5) == pytest.approx(edge, rel=1e-12)
         low = policy(0.2, -5.0)
         assert policy(0.2, -20.0) == pytest.approx(low, rel=1e-12)
-
-
-class TestGridSolutionIO:
-    def test_csv_layout(self, tmp_path):
-        fwd, drv = heat_parts()
-        sol = fl.solve_pde(fwd, drv, fl.SpaceGrid(-1.0, 1.0, 5), fl.TimeGrid(0, 1, 2))
-        path = tmp_path / "grid.csv"
-        sol.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x,v,v_x"
-        assert len(lines) == 1 + 3 * 5
-
-    def test_binary_roundtrip(self, tmp_path):
-        fwd, drv = heat_parts()
-        sol = fl.solve_pde(fwd, drv, fl.SpaceGrid(-2.0, 2.0, 41), fl.TimeGrid(0, 1, 8))
-        path = tmp_path / "grid.bin"
-        sol.to_binary(path)
-        back = fl.GridSolution.from_binary(path)
-        np.testing.assert_array_equal(back.v, sol.v)
-        np.testing.assert_array_equal(back.v_x, sol.v_x)
-        assert back.tgrid.times()[-1] == sol.tgrid.times()[-1]
-        assert back.sgrid.n_points == sol.sgrid.n_points
-
-    def test_binary_magic_guard(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTAGRID" + b"\0" * 64)
-        with pytest.raises(DomainError):
-            fl.GridSolution.from_binary(path)

@@ -52,23 +52,28 @@ class TestEvalDriver:
         assert second_diff == pytest.approx(-H * dz ** 2, rel=1e-9, abs=1e-9)
 
 
+def girsanov(spec, fwd, t, x, y, z):
+    """The drift-eliminated driver F + (mu/sigma) z, evaluated pointwise."""
+    return fl.eval_driver(fl.girsanov_shifted_driver(spec, fwd), t, x, y, z)
+
+
 class TestGirsanovDriver:
     def test_zero_drift_is_identity(self):
         fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
         spec = make_driver(source=1.0, z_quad=2.0)
         for z in (-1.0, 0.0, 2.5):
-            assert fl.eval_girsanov_driver(spec, fwd, 0.1, 0.5, 0.0, z) == \
+            assert girsanov(spec, fwd, 0.1, 0.5, 0.0, z) == \
                 fl.eval_driver(spec, 0.1, 0.5, 0.0, z)
 
     def test_constant_shift(self):
         fwd = fl.ForwardSpec(mu=2.0, sigma=1.0, x0=0.0, horizon=1.0)
         spec = make_driver(source=1.0, z_quad=2.0)
-        assert fl.eval_girsanov_driver(spec, fwd, 0.0, 0.0, 0.0, 3.0) == pytest.approx(-2.0)
+        assert girsanov(spec, fwd, 0.0, 0.0, 0.0, 3.0) == pytest.approx(-2.0)
 
     def test_zero_z_unchanged(self):
         fwd = fl.ForwardSpec(mu=lambda t, x: 5.0 * x, sigma=0.7, x0=0.0, horizon=1.0)
         spec = make_driver(source=lambda t, x: x ** 2, z_quad=1.0)
-        assert fl.eval_girsanov_driver(spec, fwd, 0.2, 1.3, 0.0, 0.0) == \
+        assert girsanov(spec, fwd, 0.2, 1.3, 0.0, 0.0) == \
             fl.eval_driver(spec, 0.2, 1.3, 0.0, 0.0)
 
     def test_shift_is_linear_in_z_with_slope_mu_over_sigma(self):
@@ -76,8 +81,7 @@ class TestGirsanovDriver:
         spec = make_driver(source=lambda t, x: x ** 2, z_quad=0.5)
         t, x, y = 0.3, 1.4, 0.0
         z1, z2 = -1.0, 2.0
-        gap = lambda z: fl.eval_girsanov_driver(spec, fwd, t, x, y, z) - \
-            fl.eval_driver(spec, t, x, y, z)
+        gap = lambda z: girsanov(spec, fwd, t, x, y, z) - fl.eval_driver(spec, t, x, y, z)
         slope = (gap(z2) - gap(z1)) / (z2 - z1)
         assert slope == pytest.approx((x - 0.1 * x ** 3) / 0.3, rel=1e-12)
 
@@ -85,7 +89,7 @@ class TestGirsanovDriver:
         fwd = fl.ForwardSpec(mu=1.0, sigma=lambda t, x: x, x0=1.0, horizon=1.0)
         spec = make_driver(source=0.0, z_quad=1.0)
         with pytest.raises(DomainError) as err:
-            fl.eval_girsanov_driver(spec, fwd, 0.5, 0.0, 0.0, 1.0)
+            girsanov(spec, fwd, 0.5, 0.0, 0.0, 1.0)
         assert "0.5" in str(err.value) or "0.0" in str(err.value)
 
     def test_shifted_driver_spec_matches_pointwise(self):
@@ -96,43 +100,7 @@ class TestGirsanovDriver:
         z = np.linspace(-1, 1, 7)
         np.testing.assert_allclose(
             fl.eval_driver(shifted, 0.25, x, 0.0, z),
-            fl.eval_girsanov_driver(spec, fwd, 0.25, x, 0.0, z), rtol=1e-14)
-
-
-class TestParabolicity:
-    def test_constant_field(self):
-        fwd = fl.ForwardSpec(mu=0.0, sigma=0.5, x0=0.0, horizon=1.0)
-        grid = fl.SampleGrid.regular(1.0, -1.0, 1.0)
-        assert fl.parabolicity_constant(fwd, grid) == 0.5
-
-    def test_sign_change_returns_none(self):
-        fwd = fl.ForwardSpec(mu=0.0, sigma=lambda t, x: x, x0=0.0, horizon=1.0)
-        grid = fl.SampleGrid.regular(1.0, -1.0, 1.0)
-        assert fl.parabolicity_constant(fwd, grid) is None
-
-    def test_time_growing_field(self):
-        fwd = fl.ForwardSpec(mu=0.0, sigma=lambda t, x: 1.0 + t + 0.0 * x, x0=0.0, horizon=1.0)
-        grid = fl.SampleGrid.regular(1.0, -1.0, 1.0)
-        assert fl.parabolicity_constant(fwd, grid) == pytest.approx(1.0)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            fl.SampleGrid(t=np.array([]), x=np.array([0.0]), uv=np.array([0.5]))
-
-    def test_declared_floor_verification(self):
-        grid = fl.SampleGrid.regular(1.0, -1.0, 1.0)
-        good = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0,
-                              parabolicity_floor=0.5)
-        assert good.verify_parabolicity_floor(grid) is None
-        bad = fl.ForwardSpec(mu=0.0, sigma=lambda t, x: 1.0 - t + 0.0 * x,
-                             x0=0.0, horizon=1.0, parabolicity_floor=0.5)
-        witness = bad.verify_parabolicity_floor(grid)
-        assert witness is not None
-        t, x = witness
-        assert float(bad.diffusion(t, x)) < 0.5
-        plain = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
-        with pytest.raises(DomainError):
-            plain.verify_parabolicity_floor(grid)
+            x ** 2 + (0.4 + np.cos(x) / 1.3) * z - 0.4 * z ** 2, rtol=1e-14)
 
 
 class TestAssumptionChecker:
@@ -268,6 +236,23 @@ class TestSpecs:
         with pytest.raises(DomainError):
             fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=0.0)
 
+    def test_coefficients_return_full_shape_floats(self):
+        from fbsdelab.expressions import time_derivative
+        x = np.linspace(-1.0, 1.0, 5)
+        fwd = fl.ForwardSpec(mu=2.0, sigma=lambda t, x: 1, x0=0.0, horizon=1.0)
+        drv = make_driver(z_quad=fl.parse_expression("2"))
+        for out in (fwd.mu(0.5, x), fwd.sigma(0.5, x), drv.z_quad(x)):
+            assert out.shape == (5,) and out.dtype == float
+        assert fwd.mu(np.zeros((3, 1)), x).shape == (3, 5)
+        assert np.ndim(fwd.sigma(0.5, 0.0)) == 0
+        # an expression's exact time slope survives the normalisation
+        drv = make_driver(z_quad=fl.parse_expression("0.5 + 0.25*t"))
+        assert time_derivative(drv.z_quad, 0.3) == 0.25
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DomainError):
+            fl.SampleGrid(t=np.array([]), x=np.array([0.0]), uv=np.array([0.5]))
+
     def test_control_spec_validation(self):
         with pytest.raises(DomainError):
             fl.ControlProblemSpec(A=0.0, B=1.0, sigma=1.0, delta=-0.1, target=0.0,
@@ -277,11 +262,6 @@ class TestSpecs:
             fl.ControlProblemSpec(A=0.0, B=1.0, sigma=1.0, delta=0.0, target=0.0,
                                   control_weight=lambda t: t, terminal_weight=0.0,
                                   x0=1.0, horizon=1.0)
-
-    def test_control_spec_bounds_report(self, benchmark_cps):
-        bounds = benchmark_cps.coefficient_bounds()
-        assert bounds["min_abs_B"] == 1.0
-        assert bounds["min_abs_sigma"] == 1.0
 
     def test_reduced_driver_of_control_problem(self, benchmark_cps):
         drv = benchmark_cps.driver_spec()

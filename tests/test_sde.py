@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
 from fbsdelab.errors import DomainError, SimulationError
+from fbsdelab.sde import brownian_increments
 
 
 def brownian():
@@ -73,6 +75,14 @@ class TestSimulate:
         np.testing.assert_allclose(np.diff(ens.states, axis=1), ens.dW,
                                    rtol=0.0, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2 ** 64, 2 ** 64 - 1), st.integers(-2 ** 64, 2 ** 64 - 1))
+    def test_distinct_seeds_give_distinct_noise(self, a, b):
+        # seeds are taken modulo 2**64; within that range every seed is its own stream
+        if a % 2 ** 64 != b % 2 ** 64:
+            assert not np.array_equal(brownian_increments(a, 3, 2, 1.0),
+                                      brownian_increments(b, 3, 2, 1.0))
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(DomainError):
             fl.simulate(brownian(), fl.TimeGrid(0, 1, 4), 10, seed=0, scheme="milstein")
@@ -129,16 +139,6 @@ class TestSimulate:
             ma = np.mean(np.abs(a.states[:, -1]) ** p)
             mb = np.mean(np.abs(b.states[:, -1]) ** p)
             assert abs(ma - mb) / ma < 0.1, p
-
-    def test_csv_export_roundtrip_shape(self, tmp_path):
-        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 3), 5, seed=2)
-        path = tmp_path / "paths.csv"
-        ens.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "path_id,t,X,dW"
-        assert len(rows) == 1 + 5 * 4
-        first = rows[1].split(",")
-        assert first[0] == "0" and float(first[2]) == 0.0
 
 
 class TestControlledSimulate:
