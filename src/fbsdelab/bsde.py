@@ -12,14 +12,12 @@ Three routes estimate the same value process on a simulated ensemble:
 Per step, the z-component is estimated by regressing Y_{k+1} dW_k on the
 state basis and dividing by dt; the conditional mean of Y_{k+1} comes from
 the same feature matrix.  Regressions solve ridge-stabilized normal
-equations with condition monitoring.  A derivative-based z estimate (the
-spatial gradient of the fitted conditional mean times the diffusion) is kept
-as a diagnostic only.
+equations with condition monitoring.  The basis is scaled to the
+ensemble's state range, so no sample ever falls outside it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,15 +43,13 @@ SCHEMES = ("explicit", "one_step_implicit")
 class BasisSpec:
     """Regression basis: global polynomials or piecewise-linear hats.
 
-    ``domain`` fixes scaling/knot placement; None derives it per solve from
-    the ensemble's state range (no clipping ever needed then).  Samples
-    outside an explicit domain are clipped into it with a warning.
+    Scaling and knot placement come from the ensemble's state range, fixed
+    per solve.
     """
 
     family: str = "polynomial"
     degree: int = 2
     n_knots: int = 8
-    domain: tuple | None = None
 
     def __post_init__(self):
         if self.family not in BASIS_FAMILIES:
@@ -62,14 +58,6 @@ class BasisSpec:
             raise DomainError("polynomial degree must be >= 1")
         if self.family == "piecewise_linear" and self.n_knots < 2:
             raise DomainError("piecewise_linear needs at least 2 knots")
-        if self.domain is not None:
-            lo, hi = self.domain
-            if not lo < hi:
-                raise DomainError("basis domain must have x_lo < x_hi")
-
-    @property
-    def n_features(self) -> int:
-        return self.degree + 1 if self.family == "polynomial" else self.n_knots
 
     def label(self) -> str:
         if self.family == "polynomial":
@@ -91,7 +79,6 @@ class _Basis:
             self.knots = np.linspace(self.lo, self.hi, spec.n_knots)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        x = np.clip(x, self.lo, self.hi)
         if self.spec.family == "polynomial":
             s = (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
             return np.vander(s, self.spec.degree + 1, increasing=True)
@@ -102,24 +89,6 @@ class _Basis:
         rows = np.arange(x.size)
         out[rows, idx] = 1.0 - w
         out[rows, idx + 1] = w
-        return out
-
-    def feature_gradient(self, x: np.ndarray) -> np.ndarray:
-        """d(features)/dx, for the derivative-based z diagnostic."""
-        x = np.clip(x, self.lo, self.hi)
-        if self.spec.family == "polynomial":
-            s = (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
-            scale = 2.0 / (self.hi - self.lo)
-            out = np.zeros((x.size, self.spec.degree + 1))
-            for j in range(1, self.spec.degree + 1):
-                out[:, j] = j * s ** (j - 1) * scale
-            return out
-        dx = self.knots[1] - self.knots[0]
-        idx = np.clip(((x - self.lo) / dx).astype(int), 0, self.spec.n_knots - 2)
-        out = np.zeros((x.size, self.spec.n_knots))
-        rows = np.arange(x.size)
-        out[rows, idx] = -1.0 / dx
-        out[rows, idx + 1] = 1.0 / dx
         return out
 
 
@@ -183,7 +152,6 @@ class BackwardSolution:
     route: str
     scheme: str
     basis: BasisSpec
-    basis_domain: tuple
     y_coefficients: list
     z_coefficients: list
     y0: float
@@ -205,32 +173,6 @@ class BackwardSolution:
     def n_steps(self) -> int:
         return self.Z.shape[1]
 
-    def gradient_z_estimate(self, ens: PathEnsemble, fwd: ForwardSpec) -> np.ndarray:
-        """Diagnostic z: diffusion times the gradient of the fitted conditional mean."""
-        basis = _Basis(self.basis, *self.basis_domain)
-        times = self.grid.times()
-        out = np.zeros_like(self.Z)
-        for k in range(self.n_steps):
-            coef = self.y_coefficients[k]
-            if coef is None:
-                continue
-            x = ens.states[:, k]
-            grad = basis.feature_gradient(x) @ coef
-            out[:, k] = fwd.diffusion(times[k], x) * grad
-        return out
-
-
-def _resolve_domain(basis: BasisSpec, ens: PathEnsemble):
-    if basis.domain is not None:
-        lo, hi = float(basis.domain[0]), float(basis.domain[1])
-        smin, smax = float(ens.states.min()), float(ens.states.max())
-        if smin < lo or smax > hi:
-            warnings.warn(
-                f"state range [{smin:.4g}, {smax:.4g}] exceeds basis domain "
-                f"[{lo:.4g}, {hi:.4g}]; samples are clipped", stacklevel=3)
-        return lo, hi
-    return float(ens.states.min()), float(ens.states.max())
-
 
 def _pick_scheme(spec: DriverSpec, scheme: str | None, force_implicit: bool = False) -> str:
     if scheme is None:
@@ -245,7 +187,6 @@ def _backward_recursion(
     terminal: np.ndarray,
     driver: Callable,
     basis_spec: BasisSpec,
-    domain: tuple,
     scheme: str,
     clamp: tuple | None = None,
 ):
@@ -256,7 +197,7 @@ def _backward_recursion(
     n_paths, n_steps = ens.dW.shape
     dt = ens.grid.dt
     times = ens.grid.times()
-    basis = _Basis(basis_spec, *domain)
+    basis = _Basis(basis_spec, float(ens.states.min()), float(ens.states.max()))
 
     V = np.empty((n_paths, n_steps + 1))
     Zc = np.zeros((n_paths, n_steps))
@@ -323,7 +264,6 @@ def solve_lsmc(
     driver depends on y).
     """
     scheme = _pick_scheme(spec, scheme)
-    domain = _resolve_domain(basis, ens)
     terminal = spec.terminal(ens.states[:, -1])
     if not np.all(np.isfinite(terminal)):
         raise DomainError("terminal values are not finite on the ensemble")
@@ -332,10 +272,10 @@ def solve_lsmc(
         return eval_driver(spec, t, x, y, z)
 
     V, Zc, y_coefs, z_coefs, clamps, se = _backward_recursion(
-        ens, terminal, driver, basis, domain, scheme)
+        ens, terminal, driver, basis, scheme)
     return BackwardSolution(
         grid=ens.grid, Y=V, Z=Zc, route=route, scheme=scheme, basis=basis,
-        basis_domain=domain, y_coefficients=y_coefs, z_coefficients=z_coefs,
+        y_coefficients=y_coefs, z_coefficients=z_coefs,
         y0=float(V[0, 0]) if float(np.ptp(V[:, 0])) == 0.0 else float(V[:, 0].mean()),
         y0_stderr=se, clamp_counts=clamps, driver=spec)
 
@@ -371,9 +311,7 @@ def solve_transformed(
 
     def u_driver(t, x, u, lam):
         Ht = float(spec.z_quad(t))
-        hdot = hdot_cache.get(float(t))
-        if hdot is None:
-            hdot = float(time_derivative(spec.z_quad, float(t), span=horizon))
+        hdot = hdot_cache[float(t)]   # the recursion only visits grid times
         u_safe = np.maximum(u, 1e-15)
         ln_u = np.log(u_safe)
         bracket = (hdot / Ht) * ln_u + Ht * spec.source(t, x)
@@ -385,9 +323,8 @@ def solve_transformed(
         return out
 
     scheme = _pick_scheme(spec, scheme, force_implicit=True)
-    domain = _resolve_domain(basis, ens)
     U, Lam, y_coefs, z_coefs, clamps, se_u = _backward_recursion(
-        ens, u_terminal, u_driver, basis, domain, scheme, clamp=(U_FLOOR, 1.0))
+        ens, u_terminal, u_driver, basis, scheme, clamp=(U_FLOOR, 1.0))
 
     Hrow = H[np.newaxis, :]
     Y = M - np.log(U) / Hrow
@@ -398,7 +335,7 @@ def solve_transformed(
     y0_stderr = float(se_u / (H[0] * u0))
     return BackwardSolution(
         grid=ens.grid, Y=Y, Z=Z, route="transformed", scheme=scheme, basis=basis,
-        basis_domain=domain, y_coefficients=y_coefs, z_coefficients=z_coefs,
+        y_coefficients=y_coefs, z_coefficients=z_coefs,
         y0=y0, y0_stderr=y0_stderr, clamp_counts=clamps, driver=spec)
 
 

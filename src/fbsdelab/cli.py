@@ -25,7 +25,7 @@ import numpy as np
 from .bsde import SCHEMES, BasisSpec
 from .errors import ConfigError, DomainError, FbsdeLabError
 from .expressions import ExpressionError, parse_expression
-from .harness import (Numerics, ProblemSetup, run_delta_sweep,
+from .harness import (ROUTES, Numerics, ProblemSetup, run_delta_sweep,
                       run_feynman_kac_check, run_uniqueness_check)
 from .moduli import LogPowerModulus, identity_modulus
 from .pde import PDE_SCHEMES
@@ -41,8 +41,7 @@ _PROBLEM_KEYS = {
                "z_quad", "terminal", "value_floor"},
 }
 _NUMERICS_KEYS = {"n_paths", "n_steps", "n_space", "pde_steps", "space_span",
-                  "x_lo", "x_hi", "basis", "bsde_scheme", "pde_scheme",
-                  "boundary", "seed"}
+                  "x_lo", "x_hi", "basis", "bsde_scheme", "pde_scheme", "seed"}
 _EXPERIMENT_KEYS = {"kind", "routes", "deltas", "seeds", "bases", "gamma",
                     "kappa", "phi"}
 _OUTPUT_KEYS = {"dir"}
@@ -255,6 +254,10 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
                    default=numerics.space_span, minimum=0.1)
     x_lo = _number(numerics_sec, "x_lo", errs, "numerics", float, default=np.nan)
     x_hi = _number(numerics_sec, "x_hi", errs, "numerics", float, default=np.nan)
+    if np.isnan(x_lo) != np.isnan(x_hi):
+        errs.add("numerics.x_lo, numerics.x_hi: give both or neither")
+    elif x_lo >= x_hi:   # False when both are unset (nan)
+        errs.add(f"numerics.x_lo: must be below numerics.x_hi, got {x_lo!r} >= {x_hi!r}")
     seed = _number(numerics_sec, "seed", errs, "numerics", int, default=numerics.seed)
     basis_raw, basis_line = _take(numerics_sec, "basis")
     basis = numerics.basis
@@ -275,12 +278,6 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     if pde_scheme not in PDE_SCHEMES:
         errs.add(f"numerics.pde_scheme: unknown scheme {pde_raw!r}", pde_line)
         pde_scheme = "auto"
-    boundary_raw, boundary_line = _take(numerics_sec, "boundary")
-    boundary = boundary_raw or "linear_extrapolation"
-    if boundary != "linear_extrapolation":
-        errs.add("numerics.boundary: only linear_extrapolation is configurable here",
-                 boundary_line)
-        boundary = "linear_extrapolation"
 
     exp_raw, exp_line = _take(experiment_sec, "kind")
     experiment = exp_raw or ""
@@ -289,22 +286,30 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
             errs.add(f"experiment.kind must be one of {_EXPERIMENTS}, got {exp_raw!r}", exp_line)
         experiment = "feynman_kac"
 
-    def _float_list(key, default):
+    def _number_list(key, default, kind, noun):
         raw, line = _take(experiment_sec, key)
         if raw is None:
             return list(default)
         try:
-            return [float(part) for part in raw.split(",") if part.strip() != ""]
+            return [kind(part) for part in raw.split(",") if part.strip() != ""]
         except ValueError:
-            errs.add(f"experiment.{key}: expected comma-separated numbers, got {raw!r}", line)
+            errs.add(f"experiment.{key}: expected comma-separated {noun}, got {raw!r}", line)
             return list(default)
 
-    routes_raw, _ = _take(experiment_sec, "routes")
+    routes_raw, routes_line = _take(experiment_sec, "routes")
     routes = None
     if routes_raw is not None:
         routes = [part.strip() for part in routes_raw.split(",") if part.strip()]
-    deltas = _float_list("deltas", (0.0, 0.05, 0.1))
-    seeds = [int(s) for s in _float_list("seeds", (1, 2, 3, 4, 5))]
+        for name in routes:
+            if name not in ROUTES:
+                errs.add(f"experiment.routes: unknown route {name!r}; "
+                         f"expected some of {ROUTES}", routes_line)
+    deltas = _number_list("deltas", (0.0, 0.05, 0.1), float, "numbers")
+    if any(d < 0.0 for d in deltas):
+        errs.add(f"experiment.deltas: must be >= 0, got {min(deltas)!r}")
+    seeds = _number_list("seeds", (1, 2, 3, 4, 5), int, "integers")
+    if len(set(seeds)) < len(seeds):
+        errs.add(f"experiment.seeds: seeds must be distinct, got {seeds}")
     bases_raw, bases_line = _take(experiment_sec, "bases")
     bases = [BasisSpec("polynomial", 2), BasisSpec("piecewise_linear", n_knots=8)]
     if bases_raw is not None:
@@ -343,8 +348,7 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
         pde_steps=pde_steps or None, space_span=span,
         x_lo=None if np.isnan(x_lo) else x_lo,
         x_hi=None if np.isnan(x_hi) else x_hi,
-        basis=basis, bsde_scheme=bsde_scheme, pde_scheme=pde_scheme,
-        boundary=boundary, seed=seed)
+        basis=basis, bsde_scheme=bsde_scheme, pde_scheme=pde_scheme, seed=seed)
     return RunConfig(setup=setup, control=control, numerics=num,
                      experiment=experiment, routes=routes, deltas=deltas,
                      seeds=seeds, bases=bases, gamma=gamma, kappa=kappa,

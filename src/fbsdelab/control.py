@@ -28,6 +28,15 @@ from .problem import ControlProblemSpec, _full_field
 from .sde import TimeGrid, controlled_simulate
 
 
+def _write_rows(path, columns, rows) -> None:
+    """CSV with a header row; numbers are written by repr, so they round-trip exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for row in rows:
+            writer.writerow([x if isinstance(x, str) else repr(x) for x in row])
+
+
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Quadratic value-function coefficients on a time grid."""
@@ -193,12 +202,8 @@ class PolicyRanking:
         return self.rows[0][0]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["policy", "mean_cost", "stderr",
-                             "paired_diff_vs_best", "paired_stderr_vs_best"])
-            for name, mean, se, diff, dse in self.rows:
-                writer.writerow([name, repr(mean), repr(se), repr(diff), repr(dse)])
+        _write_rows(path, ("policy", "mean_cost", "stderr",
+                           "paired_diff_vs_best", "paired_stderr_vs_best"), self.rows)
 
 
 def compare_policies(

@@ -14,20 +14,20 @@ for bit from them.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bsde import BasisSpec, solve_girsanov, solve_lsmc, solve_transformed
-from .control import solve_riccati
+from .control import _write_rows, solve_riccati
 from .errors import DomainError, SolverError
 from .pde import SpaceGrid, solve_pde
 from .problem import ControlProblemSpec, DriverSpec, ForwardSpec
 from .sde import TimeGrid, simulate
 
 LSMC_ROUTES = ("direct", "transformed", "girsanov")
+ROUTES = ("riccati", "pde") + LSMC_ROUTES
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,6 @@ class ExperimentResult:
             _write_rows(table, self.table_columns, self.table)
             written.append(table)
         return written
-
-
-def _write_rows(path, columns, rows) -> None:
-    """CSV with a header row; numbers are written by repr, so they round-trip exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        for row in rows:
-            writer.writerow([x if isinstance(x, str) else repr(x) for x in row])
 
 
 def _applicable_routes(setup: ProblemSetup, tgrid: TimeGrid) -> list:

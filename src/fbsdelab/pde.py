@@ -9,15 +9,14 @@ evaluated at the previous time level (imex) or iterated to convergence with
 damped Newton on the full residual (newton_implicit); 'auto' switches to
 Newton on a per-step stiffness heuristic.
 
-Boundaries: 'linear_extrapolation' forces zero curvature at the edges, which
-is exact for asymptotically quadratic value functions; 'dirichlet_from_profile'
-pins the edge values to a supplied profile(t, x).
+The boundary rule is linear extrapolation, w_edge = 2 w_1 - w_2: zero
+curvature at the edges, which is exact for asymptotically quadratic value
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -28,7 +27,6 @@ from .problem import ControlProblemSpec, DriverSpec, ForwardSpec, eval_driver
 from .sde import TimeGrid
 
 PDE_SCHEMES = ("imex", "newton_implicit", "auto")
-BOUNDARIES = ("linear_extrapolation", "dirichlet_from_profile")
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
 STIFFNESS_SWITCH = 0.1   # auto: use Newton when z_quad * dt * max|v_x| exceeds this
@@ -127,15 +125,6 @@ class GridSolution:
         return self._bilinear(self._vx, t, x)
 
 
-def _boundary_relations(boundary: str, profile, t: float, xs: np.ndarray):
-    """Each edge node as (alpha, beta, gamma) over its two inward neighbors."""
-    if boundary == "linear_extrapolation":
-        return (2.0, -1.0, 0.0), (2.0, -1.0, 0.0)
-    lo = float(profile(t, xs[0]))
-    hi = float(profile(t, xs[-1]))
-    return (0.0, 0.0, lo), (0.0, 0.0, hi)
-
-
 def _advection_diffusion_diagonals(mu, sig2, dx):
     """Interior-row coefficients of mu d_x (upwinded) + 0.5 sigma^2 d_xx."""
     mu_pos = np.maximum(mu, 0.0)
@@ -147,44 +136,38 @@ def _advection_diffusion_diagonals(mu, sig2, dx):
     return lower, diag, upper
 
 
-def _solve_interior(lower, diag, upper, rhs, rel_lo, rel_hi):
+def _solve_interior(lower, diag, upper, rhs):
     """Tridiagonal solve over interior nodes with eliminated boundary nodes.
 
     ``lower/diag/upper`` are the interior-row coefficients on (w_{j-1}, w_j,
-    w_{j+1}); the first and last rows are corrected for the boundary
-    relations w_edge = alpha w_1 + beta w_2 + gamma.
+    w_{j+1}); the first and last rows are corrected for the edge rule
+    w_edge = 2 w_1 - w_2.
     """
-    a_lo, b_lo, g_lo = rel_lo
-    a_hi, b_hi, g_hi = rel_hi
     n = diag.size
     d = diag.copy()
     lo = lower.copy()
     up = upper.copy()
-    r = rhs.copy()
     # first interior row: its w_{j-1} is the low edge node
-    d[0] += lower[0] * a_lo
-    up[0] += lower[0] * b_lo
-    r[0] -= lower[0] * g_lo
+    d[0] += 2.0 * lower[0]
+    up[0] -= lower[0]
     lo[0] = 0.0
     # last interior row: its w_{j+1} is the high edge node
-    d[-1] += upper[-1] * a_hi
-    lo[-1] += upper[-1] * b_hi
-    r[-1] -= upper[-1] * g_hi
+    d[-1] += 2.0 * upper[-1]
+    lo[-1] -= upper[-1]
     up[-1] = 0.0
     ab = np.zeros((3, n))
     ab[0, 1:] = up[:-1]
     ab[1, :] = d
     ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, r)
+    return solve_banded((1, 1), ab, rhs)
 
 
-def _complete(w_int: np.ndarray, rel_lo, rel_hi) -> np.ndarray:
-    a_lo, b_lo, g_lo = rel_lo
-    a_hi, b_hi, g_hi = rel_hi
+def _complete(w_int: np.ndarray) -> np.ndarray:
+    """Interior values plus the edge nodes from w_edge = 2 w_1 - w_2."""
     full = np.empty(w_int.size + 2)
     full[1:-1] = w_int
-    full[0] = a_lo * w_int[0] + b_lo * w_int[1] + g_lo
-    full[-1] = a_hi * w_int[-1] + b_hi * w_int[-2] + g_hi
+    full[0] = 2.0 * w_int[0] - w_int[1]
+    full[-1] = 2.0 * w_int[-1] - w_int[-2]
     return full
 
 
@@ -203,9 +186,6 @@ def solve_pde(
     tgrid: TimeGrid,
     scheme: str = "auto",
     boundary: str = "linear_extrapolation",
-    boundary_profile: Callable | None = None,
-    newton_tol: float = NEWTON_TOL,
-    newton_max_iter: int = NEWTON_MAX_ITER,
 ) -> GridSolution:
     """March the terminal-value problem backward on the product grid.
 
@@ -217,10 +197,8 @@ def solve_pde(
     """
     if scheme not in PDE_SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {PDE_SCHEMES}")
-    if boundary not in BOUNDARIES:
-        raise DomainError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}")
-    if boundary == "dirichlet_from_profile" and boundary_profile is None:
-        raise DomainError("dirichlet_from_profile requires boundary_profile")
+    if boundary != "linear_extrapolation":
+        raise DomainError(f"unknown boundary {boundary!r}; only linear_extrapolation")
 
     xs = sgrid.nodes()
     xin = xs[1:-1]
@@ -243,7 +221,6 @@ def solve_pde(
         mu_k = fwd.drift(t, xin)
         sig_k = fwd.diffusion(t, xin)
         lower, diag_op, upper = _advection_diffusion_diagonals(mu_k, sig_k ** 2, dx)
-        rel_lo, rel_hi = _boundary_relations(boundary, boundary_profile, t, xs)
 
         use_newton = scheme == "newton_implicit"
         if scheme == "auto":
@@ -256,15 +233,11 @@ def solve_pde(
             sig_next = fwd.diffusion(t_next, xin)
             f_expl = eval_driver(spec, t_next, xin, v_next[1:-1], sig_next * vx_next)
             rhs = v_next[1:-1] + dt * f_expl
-            w_int = _solve_interior(-dt * lower, 1.0 - dt * diag_op, -dt * upper,
-                                    rhs, rel_lo, rel_hi)
-            w = _complete(w_int, rel_lo, rel_hi)
+            w = _complete(_solve_interior(-dt * lower, 1.0 - dt * diag_op,
+                                          -dt * upper, rhs))
         else:
             newton_steps += 1
             H_k = float(spec.z_quad(t))
-            # delta corrections obey the homogeneous boundary relations
-            drel_lo = (rel_lo[0], rel_lo[1], 0.0)
-            drel_hi = (rel_hi[0], rel_hi[1], 0.0)
 
             def residual(full):
                 vx = (full[2:] - full[:-2]) / (2.0 * dx)
@@ -272,11 +245,11 @@ def solve_pde(
                 advdiff = lower * full[:-2] + diag_op * full[1:-1] + upper * full[2:]
                 return v_next[1:-1] - full[1:-1] + dt * (advdiff + f_val)
 
-            w = _complete(v_next[1:-1].copy(), rel_lo, rel_hi)
+            w = _complete(v_next[1:-1])
             converged = False
-            for _ in range(newton_max_iter):
+            for _ in range(NEWTON_MAX_ITER):
                 res = residual(w)
-                if float(np.max(np.abs(res))) <= newton_tol * max(1.0, float(np.max(np.abs(w)))):
+                if float(np.max(np.abs(res))) <= NEWTON_TOL * max(1.0, float(np.max(np.abs(w)))):
                     converged = True
                     break
                 vx = (w[2:] - w[:-2]) / (2.0 * dx)
@@ -292,20 +265,19 @@ def solve_pde(
                 jac_lower = dt * (lower - dF_dz * sig_k / (2.0 * dx))
                 jac_diag = -1.0 + dt * (diag_op + dF_dv)
                 jac_upper = dt * (upper + dF_dz * sig_k / (2.0 * dx))
-                delta = _solve_interior(jac_lower, jac_diag, jac_upper, -res,
-                                        drel_lo, drel_hi)
+                delta = _solve_interior(jac_lower, jac_diag, jac_upper, -res)
                 # damped update: backtrack until the residual norm decreases
                 base = float(np.max(np.abs(res)))
                 step_size = 1.0
                 while step_size >= 1e-3:
-                    trial = _complete(w[1:-1] + step_size * delta, rel_lo, rel_hi)
+                    trial = _complete(w[1:-1] + step_size * delta)
                     if float(np.max(np.abs(residual(trial)))) < base:
                         break
                     step_size *= 0.5
                 w = trial
             if not converged:
                 res_norm = float(np.max(np.abs(residual(w))))
-                if res_norm > newton_tol * max(1.0, float(np.max(np.abs(w)))):
+                if res_norm > NEWTON_TOL * max(1.0, float(np.max(np.abs(w)))):
                     raise SolverError(
                         f"Newton did not converge at time index {k} (t={t:.6g}); "
                         f"residual {res_norm:.3e}", step=k)

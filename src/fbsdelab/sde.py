@@ -81,23 +81,6 @@ class PathEnsemble:
     def n_steps(self) -> int:
         return self.dW.shape[1]
 
-    def noise_sanity(self) -> dict:
-        """Column-wise mean / variance diagnostics for the increments.
-
-        The increments should have mean ~ O(sqrt(dt / n_paths)) and variance
-        within a few standard errors of dt; reported, never asserted here.
-        """
-        dt = self.grid.dt
-        n = self.n_paths
-        means = self.dW.mean(axis=0)
-        variances = self.dW.var(axis=0, ddof=1)
-        mean_se = np.sqrt(dt / n)
-        var_se = dt * np.sqrt(2.0 / (n - 1))
-        return {
-            "max_abs_mean_over_se": float(np.max(np.abs(means)) / mean_se),
-            "max_abs_var_dev_over_se": float(np.max(np.abs(variances - dt)) / var_se),
-        }
-
 
 def brownian_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
     """Increments for paths 0..n_paths-1 from per-block Philox substreams."""

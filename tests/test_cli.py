@@ -81,10 +81,21 @@ class TestParseConfig:
         assert len(err.value.errors) >= 3
 
     def test_numeric_range_checks(self):
-        text = MINIMAL_LQR + "\n[numerics]\nn_paths = 0\n"
-        with pytest.raises(ConfigError) as err:
-            parse(text)
-        assert any("n_paths" in e and ">= 1" in e for e in err.value.errors)
+        # MINIMAL_LQR ends inside [experiment], so bare keys land there
+        cases = [
+            ("[numerics]\nn_paths = 0", "numerics.n_paths: must be >= 1"),
+            ("[numerics]\nx_lo = -3", "give both or neither"),
+            ("[numerics]\nx_hi = 3", "give both or neither"),
+            ("[numerics]\nx_lo = 3\nx_hi = 3", "numerics.x_lo: must be below"),
+            ("routes = pde,quantum", "experiment.routes: unknown route 'quantum'"),
+            ("deltas = 0,-0.1", "experiment.deltas: must be >= 0"),
+            ("seeds = 1.2,1.7,2.9", "experiment.seeds: expected comma-separated integers"),
+            ("seeds = 1,2,1", "experiment.seeds: seeds must be distinct"),
+        ]
+        for extra, message in cases:
+            with pytest.raises(ConfigError) as err:
+                parse(MINIMAL_LQR + extra + "\n")
+            assert any(message in e for e in err.value.errors), (extra, err.value.errors)
 
     def test_time_only_coefficients_reject_x(self):
         text = MINIMAL_LQR.replace("A = 0", "A = x")

@@ -42,12 +42,11 @@ class TestGrids:
 class TestSolvePde:
     def test_heat_exact_profile(self):
         fwd, drv = heat_parts()
-        sg = fl.SpaceGrid(-6.0, 6.0, 401)
+        sg = fl.SpaceGrid(-10.0, 10.0, 671)
         tg = fl.TimeGrid(0.0, 1.0, 200)
-        sol = fl.solve_pde(fwd, drv, sg, tg, scheme="imex",
-                           boundary="dirichlet_from_profile",
-                           boundary_profile=lambda t, x: x ** 2 + (1.0 - t))
-        err = np.max(np.abs(sol.v - exact_heat(tg.times(), sg.nodes())))
+        sol = fl.solve_pde(fwd, drv, sg, tg, scheme="imex")
+        mask = np.abs(sg.nodes()) <= 3.0
+        err = np.max(np.abs(sol.v - exact_heat(tg.times(), sg.nodes()))[:, mask])
         assert err <= 1e-3
 
     def test_heat_linear_extrapolation_boundary(self):
@@ -119,12 +118,13 @@ class TestSolvePde:
         with pytest.raises(SolverError):
             fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 31), fl.TimeGrid(0, 1, 4))
 
-    def test_newton_divergence_reports_time_index(self, benchmark_setup):
-        with pytest.raises(SolverError, match="Newton"):
+    def test_newton_divergence_reports_time_index(self, benchmark_setup, monkeypatch):
+        monkeypatch.setattr("fbsdelab.pde.NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr("fbsdelab.pde.NEWTON_TOL", 1e-14)
+        with pytest.raises(SolverError, match="Newton did not converge at time index 0"):
             fl.solve_pde(benchmark_setup.forward, benchmark_setup.driver,
                          fl.SpaceGrid(-5.0, 7.0, 101), fl.TimeGrid(0.0, 1.0, 1),
-                         scheme="newton_implicit", newton_max_iter=1,
-                         newton_tol=1e-14)
+                         scheme="newton_implicit")
 
     def test_invalid_arguments(self, benchmark_setup):
         sg = fl.SpaceGrid(-1.0, 1.0, 11)
@@ -135,9 +135,6 @@ class TestSolvePde:
         with pytest.raises(DomainError):
             fl.solve_pde(benchmark_setup.forward, benchmark_setup.driver, sg, tg,
                          boundary="absorbing")
-        with pytest.raises(DomainError):
-            fl.solve_pde(benchmark_setup.forward, benchmark_setup.driver, sg, tg,
-                         boundary="dirichlet_from_profile")
 
     def test_positivity_of_value_like_solutions(self, perturbed_setup):
         sol = fl.solve_pde(perturbed_setup.forward, perturbed_setup.driver,
@@ -162,13 +159,12 @@ class TestSolvePde:
 class TestOperatorResidual:
     def test_heat_interior_residual_tiny(self):
         fwd, drv = heat_parts()
-        sg = fl.SpaceGrid(-6.0, 6.0, 401)
+        sg = fl.SpaceGrid(-10.0, 10.0, 671)
         tg = fl.TimeGrid(0.0, 1.0, 200)
-        sol = fl.solve_pde(fwd, drv, sg, tg, scheme="imex",
-                           boundary="dirichlet_from_profile",
-                           boundary_profile=lambda t, x: x ** 2 + (1.0 - t))
+        sol = fl.solve_pde(fwd, drv, sg, tg, scheme="imex")
         res = fl.evolution_operator_residual(sol, fwd, drv)
-        assert res.max_abs <= 1e-6
+        mask = np.abs(sg.nodes()[1:-1]) <= 3.0
+        assert np.max(np.abs(res.field[:, mask])) <= 1e-6
 
     def test_benchmark_residual_halves_under_refinement(self, benchmark_setup):
         # away from the artificial truncation boundary the residual is small

@@ -51,10 +51,14 @@ class TestSimulate:
         assert abs(var - 1.0) <= 5.0 * var_se
 
     def test_noise_sanity_diagnostics(self):
-        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 32), 20_000, seed=4)
-        sanity = ens.noise_sanity()
-        assert sanity["max_abs_mean_over_se"] < 5.0
-        assert sanity["max_abs_var_dev_over_se"] < 6.0
+        # per step, the increments' mean and variance sit within a few
+        # standard errors of 0 and dt
+        n, dt = 20_000, 1.0 / 32
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 32), n, seed=4)
+        mean_se = np.sqrt(dt / n)
+        var_se = dt * np.sqrt(2.0 / (n - 1))
+        assert np.max(np.abs(ens.dW.mean(axis=0))) / mean_se < 5.0
+        assert np.max(np.abs(ens.dW.var(axis=0, ddof=1) - dt)) / var_se < 6.0
 
     def test_determinism_bitwise(self):
         a = fl.simulate(cubic_drift(), fl.TimeGrid(0, 1, 32), 500, seed=77)
