@@ -11,9 +11,13 @@ Three routes estimate the same value process on a simulated ensemble:
 
 Per step, the z-component is estimated by regressing Y_{k+1} dW_k on the
 state basis and dividing by dt; the conditional mean of Y_{k+1} comes from
-the same feature matrix.  Regressions solve ridge-stabilized normal
-equations with condition monitoring.  The basis is scaled to the
-ensemble's state range, so no sample ever falls outside it.
+the same feature matrix F, filled in place (powers by recurrence for the
+polynomial basis).  One fit serves both targets: ridge-stabilized normal
+equations F^T F c = F^T targets without features that fewer than
+MIN_SUPPORT samples touch, after a condition check on the diagonally
+normalized Gram.  All path arrays are column-major, so each step's column is
+contiguous.  The basis is scaled to the ensemble's state range, so no
+sample ever falls outside it.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ class BasisSpec:
 
 
 class _Basis:
-    """Feature builder bound to a concrete domain."""
+    """Feature builder on a fixed domain; polynomial calls overwrite one reused buffer."""
 
     def __init__(self, spec: BasisSpec, lo: float, hi: float):
         self.spec = spec
+        self._buf = None
         if not np.isfinite(lo) or not np.isfinite(hi):
             raise DomainError("basis domain must be finite")
         if hi <= lo:   # degenerate data range; widen so scaling is defined
@@ -80,8 +85,17 @@ class _Basis:
 
     def features(self, x: np.ndarray) -> np.ndarray:
         if self.spec.family == "polynomial":
-            s = (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
-            return np.vander(s, self.spec.degree + 1, increasing=True)
+            buf = self._buf
+            if buf is None or buf.shape[0] != x.size:
+                buf = self._buf = np.empty((x.size, self.spec.degree + 1), order="F")
+            buf[:, 0] = 1.0
+            s = buf[:, 1]   # (2x - (lo + hi)) / (hi - lo), scaled to [-1, 1]
+            np.multiply(x, 2.0, out=s)
+            s -= self.lo + self.hi
+            s /= self.hi - self.lo
+            for j in range(2, buf.shape[1]):
+                np.multiply(buf[:, j - 1], s, out=buf[:, j])
+            return buf
         dx = self.knots[1] - self.knots[0]
         idx = np.clip(((x - self.lo) / dx).astype(int), 0, self.spec.n_knots - 2)
         w = (x - self.knots[idx]) / dx
@@ -116,7 +130,9 @@ def _fit(features: np.ndarray, targets: np.ndarray, step: int):
         raise SolverError(
             f"regression at step {step} is rank-deficient (condition {cond:.3e}); "
             f"use fewer basis functions or more paths", step=step)
-    rhs = features[:, support].T @ targets / n
+    rhs = features.T @ targets / n
+    if not support.all():
+        rhs = rhs[support]
     sub_coef = np.linalg.solve(sub + RIDGE * np.eye(sub.shape[0]), rhs)
     coef = np.zeros(features.shape[1]) if targets.ndim == 1 else \
         np.zeros((features.shape[1], targets.shape[1]))
@@ -199,8 +215,9 @@ def _backward_recursion(
     times = ens.grid.times()
     basis = _Basis(basis_spec, float(ens.states.min()), float(ens.states.max()))
 
-    V = np.empty((n_paths, n_steps + 1))
-    Zc = np.zeros((n_paths, n_steps))
+    V = np.empty((n_paths, n_steps + 1), order="F")
+    Zc = np.zeros((n_paths, n_steps), order="F")
+    targets = np.empty((n_paths, 2), order="F")   # (Y_{k+1}, Y_{k+1} dW_k)
     V[:, n_steps] = terminal
     y_coefs: list = [None] * n_steps
     z_coefs: list = [None] * n_steps
@@ -215,7 +232,8 @@ def _backward_recursion(
             zk = np.full(n_paths, float(np.mean(v_next * ens.dW[:, k])) / dt)
             m = np.full(n_paths, float(v_next.mean()))
         else:
-            targets = np.column_stack([v_next, v_next * ens.dW[:, k]])
+            targets[:, 0] = v_next
+            np.multiply(v_next, ens.dW[:, k], out=targets[:, 1])
             fitted, coef = _fit(basis.features(x), targets, step=k)
             m = fitted[:, 0]
             zk = fitted[:, 1] / dt

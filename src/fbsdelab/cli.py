@@ -317,6 +317,15 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
             bases = [_basis_from_label(part) for part in bases_raw.split(",") if part.strip()]
         except (ValueError, DomainError) as exc:
             errs.add(f"experiment.bases: {exc}", bases_line)
+    if experiment == "feynman_kac" and routes is not None and len(set(routes)) < 2:
+        errs.add(f"experiment.routes: feynman_kac compares at least 2 distinct routes, "
+                 f"got {routes}", routes_line)
+    if experiment == "uniqueness" and len(seeds) < 3:
+        errs.add(f"experiment.seeds: uniqueness needs at least 3 seeds, got {seeds}")
+    if experiment == "uniqueness" and len(bases) < 2:
+        errs.add(f"experiment.bases: uniqueness needs at least 2 bases, got {len(bases)}")
+    if experiment == "delta_sweep" and not deltas:
+        errs.add("experiment.deltas: delta_sweep needs at least one delta")
     gamma = _number(experiment_sec, "gamma", errs, "experiment", float, default=0.5)
     if gamma is not None and not 0.0 < gamma < 1.0:
         errs.add(f"experiment.gamma must lie in (0, 1), got {gamma!r}")
@@ -417,6 +426,9 @@ def main(argv=None) -> int:
     for key, value in (("seed", args.seed), ("n_paths", args.paths), ("n_steps", args.steps)):
         if value is not None:   # validated below exactly like the config key
             numerics[key] = (str(value), None)
+    verb_kind = {"sweep": "delta_sweep", "check-condition": "check_condition"}.get(args.verb)
+    if verb_kind is not None and "experiment" in sections:   # validated with its own rules
+        sections["experiment"]["kind"] = (verb_kind, None)
     try:
         config = _validate(sections, errs)
     except ConfigError as exc:
@@ -425,10 +437,6 @@ def main(argv=None) -> int:
         return 2
     if args.out_dir is not None:
         config = replace(config, out_dir=args.out_dir)
-    if args.verb == "sweep":
-        config = replace(config, experiment="delta_sweep")
-    elif args.verb == "check-condition":
-        config = replace(config, experiment="check_condition")
 
     try:
         return run(config)

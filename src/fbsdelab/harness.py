@@ -226,32 +226,42 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
     seed = numerics.seed if seed is None else seed
     basis = numerics.basis if basis is None else basis
 
-    def one(tg: TimeGrid, bs: BasisSpec, sd: int):
+    def simulate_for(tg: TimeGrid, sd: int):
         if route == "girsanov":
             driftless = ForwardSpec(mu=0.0, sigma=fwd.sigma, x0=fwd.x0, horizon=fwd.horizon)
-            ens = simulate(driftless, tg, numerics.n_paths, sd, scheme="euler")
-            return solve_girsanov(ens, setup.driver, fwd, bs, scheme=numerics.bsde_scheme)
-        ens = simulate(fwd, tg, numerics.n_paths, sd)
-        if route == "transformed":
-            return solve_transformed(ens, setup.driver, bs, scheme=numerics.bsde_scheme)
-        return solve_lsmc(ens, setup.driver, bs, scheme=numerics.bsde_scheme)
+            return simulate(driftless, tg, numerics.n_paths, sd, scheme="euler")
+        return simulate(fwd, tg, numerics.n_paths, sd)
 
-    sol = one(tgrid, basis, seed)
+    def solve(ens, bs: BasisSpec) -> tuple:
+        if route == "girsanov":
+            sol = solve_girsanov(ens, setup.driver, fwd, bs, scheme=numerics.bsde_scheme)
+        elif route == "transformed":
+            sol = solve_transformed(ens, setup.driver, bs, scheme=numerics.bsde_scheme)
+        else:
+            sol = solve_lsmc(ens, setup.driver, bs, scheme=numerics.bsde_scheme)
+        return sol.y0, sol.y0_stderr   # drops Y and Z, each as large as the ensemble
+
+    ens = simulate_for(tgrid, seed)
+    value, stat_err = solve(ens, basis)
     disc = 0.0
     if numerics.disc_estimate:
-        shifts = [abs(sol.y0 - one(tgrid, basis, seed + _REPLICATE_OFFSET).y0)]
+        # the richer-basis probe reuses the base ensemble, which is freed
+        # before the replicate and half-step ensembles exist
+        shifts = []
         for richer in _richer_candidates(basis):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    shifts.append(abs(sol.y0 - one(tgrid, richer, seed).y0))
+                    shifts.append(abs(value - solve(ens, richer)[0]))
                 break
             except SolverError:
                 continue
+        del ens
+        shifts.append(abs(value - solve(simulate_for(tgrid, seed + _REPLICATE_OFFSET), basis)[0]))
         if tgrid.n_steps >= 2:
             half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
-            shifts.append(abs(sol.y0 - one(half, basis, seed).y0))
+            shifts.append(abs(value - solve(simulate_for(half, seed), basis)[0]))
         disc = max(shifts)
-    return RouteEstimate(route, sol.y0, sol.y0_stderr, disc)
+    return RouteEstimate(route, value, stat_err, disc)
 
 
 def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:

@@ -56,7 +56,8 @@ class PathEnsemble:
 
     states: (n_paths, n_steps + 1), states[:, 0] = x0
     dW:     (n_paths, n_steps)
-    Arrays are frozen (writeable=False); share freely across threads.
+    Both are column-major (Fortran order), so each step's column [:, k] is
+    contiguous.  Arrays are frozen (writeable=False); share freely across threads.
     """
 
     grid: TimeGrid
@@ -67,7 +68,7 @@ class PathEnsemble:
 
     def __post_init__(self):
         for name in ("states", "dW"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float, order="F")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.states.shape != (self.dW.shape[0], self.dW.shape[1] + 1):
@@ -86,7 +87,7 @@ def brownian_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.
     """Increments for paths 0..n_paths-1 from per-block Philox substreams."""
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    out = np.empty((n_paths, n_steps))
+    out = np.empty((n_paths, n_steps), order="F")
     for block in range(0, n_paths, _BLOCK):
         rows = min(_BLOCK, n_paths - block)
         # a uint64 array keeps every seed's bits; a Python list would be cast
@@ -94,7 +95,8 @@ def brownian_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.
         key = np.array([seed % 2 ** 64, block // _BLOCK], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         out[block:block + rows] = gen.standard_normal((rows, n_steps))
-    return out * np.sqrt(dt)
+    out *= np.sqrt(dt)
+    return out
 
 
 def _march(fwd: ForwardSpec, grid: TimeGrid, dW: np.ndarray, scheme: str) -> np.ndarray:
@@ -103,7 +105,7 @@ def _march(fwd: ForwardSpec, grid: TimeGrid, dW: np.ndarray, scheme: str) -> np.
     n_paths, n_steps = dW.shape
     dt = grid.dt
     times = grid.times()
-    states = np.empty((n_paths, n_steps + 1))
+    states = np.empty((n_paths, n_steps + 1), order="F")
     states[:, 0] = fwd.x0
     x = states[:, 0].copy()
     for k in range(n_steps):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fbsdelab as fl
+from fbsdelab.bsde import MIN_SUPPORT, _Basis, _fit
 from fbsdelab.errors import DomainError, SolverError
 
 
@@ -29,6 +30,30 @@ class TestBasis:
     def test_labels(self):
         assert fl.BasisSpec("polynomial", 3).label() == "polynomial:3"
         assert fl.BasisSpec("piecewise_linear", n_knots=9).label() == "piecewise_linear:9"
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_polynomial_features_match_vander(self, degree):
+        x = np.random.default_rng(degree).normal(0.3, 2.0, 1000)
+        lo, hi = float(x.min()), float(x.max())
+        feats = _Basis(fl.BasisSpec("polynomial", degree), lo, hi).features(x)
+        s = (2.0 * x - (lo + hi)) / (hi - lo)
+        assert feats.flags.f_contiguous
+        np.testing.assert_allclose(feats, np.vander(s, degree + 1, increasing=True),
+                                   rtol=0.0, atol=1e-13)
+
+    def test_thin_hat_feature_gets_exactly_zero_coefficient(self):
+        # knots 0, .25, .5, .75, 1: only the few samples above 0.75 touch the
+        # last hat, too few for MIN_SUPPORT, so the step's fit drops it
+        rng = np.random.default_rng(3)
+        thin = MIN_SUPPORT - 1
+        x = np.concatenate([rng.uniform(0.0, 0.6, 500), np.linspace(0.8, 1.0, thin)])
+        feats = _Basis(fl.BasisSpec("piecewise_linear", n_knots=5), 0.0, 1.0).features(x)
+        assert np.count_nonzero(feats[:, -1]) == thin
+        targets = np.asfortranarray(np.column_stack([np.sin(3 * x), x ** 2]))
+        fitted, coef = _fit(feats, targets, step=0)
+        assert np.all(coef[-1] == 0.0)
+        assert np.all(coef[:-1] != 0.0)
+        assert np.all(np.isfinite(fitted))
 
 
 class TestSolveLsmc:
@@ -70,6 +95,13 @@ class TestSolveLsmc:
         a = fl.solve_lsmc(ens, driver(terminal=lambda x: x ** 2), fl.BasisSpec("polynomial", 2))
         b = fl.solve_lsmc(ens, driver(terminal=lambda x: x ** 2), fl.BasisSpec("polynomial", 2))
         assert np.array_equal(a.Y, b.Y) and np.array_equal(a.Z, b.Z)
+
+    def test_arrays_column_major_and_frozen(self):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 3000, seed=5)
+        sol = fl.solve_lsmc(ens, driver(terminal=lambda x: x ** 2), fl.BasisSpec("polynomial", 2))
+        assert sol.Y.shape == (3000, 9) and sol.Z.shape == (3000, 8)
+        for arr in (sol.Y, sol.Z):
+            assert arr.flags.f_contiguous and not arr.flags.writeable
 
     def test_rank_deficiency_raises(self):
         # states visiting only three distinct levels cannot support a

@@ -174,6 +174,39 @@ class TestMain:
         assert code == 2
         assert f"config error: numerics.{key}: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, old, new, message", [
+        ("heat.cfg", "routes = pde,direct", "routes =",
+         "experiment.routes: feynman_kac compares at least 2 distinct routes"),
+        ("heat.cfg", "routes = pde,direct", "routes = pde",
+         "experiment.routes: feynman_kac compares at least 2 distinct routes"),
+        ("heat.cfg", "routes = pde,direct", "routes = pde,pde",
+         "experiment.routes: feynman_kac compares at least 2 distinct routes"),
+        ("lqr_uniqueness.cfg", "seeds = 1,2,3,4,5", "seeds = 1,2",
+         "experiment.seeds: uniqueness needs at least 3 seeds"),
+        ("lqr_uniqueness.cfg", "bases = polynomial:4,piecewise_linear:10",
+         "bases = polynomial:4", "experiment.bases: uniqueness needs at least 2 bases"),
+        ("lqr_sweep.cfg", "deltas = 0,0.05,0.1", "deltas =",
+         "experiment.deltas: delta_sweep needs at least one delta"),
+    ])
+    def test_list_length_rules_exit_2(self, tmp_path, capsys, cfg, old, new, message):
+        text = (CONFIG_DIR / cfg).read_text()
+        assert old in text
+        path = tmp_path / cfg
+        path.write_text(text.replace(old, new))
+        code = self.run_main("run", str(path), "--out-dir", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and message in err
+
+    def test_verb_picks_the_rules_of_its_experiment(self, tmp_path):
+        # two seeds are too few for uniqueness, not for the condition check the verb runs
+        text = (CONFIG_DIR / "lqr_uniqueness.cfg").read_text()
+        path = tmp_path / "u.cfg"
+        path.write_text(text.replace("seeds = 1,2,3,4,5", "seeds = 1,2"))
+        code = self.run_main("check-condition", str(path), "--out-dir", str(tmp_path / "c"))
+        assert code == 0
+        assert (tmp_path / "c" / "condition_report.txt").exists()
+
     def test_missing_file_exits_2(self, capsys):
         code = self.run_main("run", "no_such_file.cfg")
         assert code == 2

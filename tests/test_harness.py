@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import fbsdelab as fl
+import fbsdelab.harness as harness
 from fbsdelab.errors import DomainError
+from fbsdelab.harness import _REPLICATE_OFFSET, _lsmc_estimate, _richer_candidates
 
 
 def light_numerics(**kw):
@@ -56,6 +58,36 @@ class TestFeynmanKac:
         with pytest.raises(DomainError):
             fl.run_feynman_kac_check(perturbed_setup, light_numerics(),
                                      routes=["riccati"])
+
+
+class TestLsmcEstimate:
+    def test_richer_probe_reuses_the_base_ensemble(self, benchmark_setup, monkeypatch):
+        # the richer basis is solved on the base ensemble itself, and every
+        # probe still equals a solve on freshly simulated paths
+        num = light_numerics(n_paths=4000, n_steps=16)
+        fwd, drv = benchmark_setup.forward, benchmark_setup.driver
+        solved = []
+
+        def recording_solve(ens, spec, basis, **kw):
+            solved.append((ens, basis))
+            return fl.solve_lsmc(ens, spec, basis, **kw)
+
+        monkeypatch.setattr(harness, "solve_lsmc", recording_solve)
+        est = _lsmc_estimate(benchmark_setup, num, "direct")
+        richer = _richer_candidates(num.basis)[0]
+        assert [basis for _, basis in solved] == [num.basis, richer, num.basis, num.basis]
+        assert solved[1][0] is solved[0][0]
+
+        def y0(steps, basis, seed):
+            ens = fl.simulate(fwd, fl.TimeGrid(0.0, fwd.horizon, steps), num.n_paths, seed)
+            return fl.solve_lsmc(ens, drv, basis).y0
+
+        base = y0(16, num.basis, num.seed)
+        shifts = [abs(base - y0(16, num.basis, num.seed + _REPLICATE_OFFSET)),
+                  abs(base - y0(16, richer, num.seed)),
+                  abs(base - y0(8, num.basis, num.seed))]
+        assert est.value == base
+        assert est.disc_err == max(shifts)
 
 
 class TestUniqueness:

@@ -95,6 +95,10 @@ class TestSimulate:
         ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 4), 10, seed=0)
         with pytest.raises(ValueError):
             ens.states[0, 0] = 99.0
+        # column-major, so each step's column is contiguous
+        assert ens.states.shape == (10, 5) and ens.dW.shape == (10, 4)
+        for arr in (ens.states, ens.dW):
+            assert arr.flags.f_contiguous and not arr.flags.writeable
 
     def test_explosion_raises_with_location(self):
         fwd = fl.ForwardSpec(mu=lambda t, x: x ** 3, sigma=0.0, x0=10.0, horizon=4.0)
