@@ -109,10 +109,10 @@ class _Basis:
 def _fit(features: np.ndarray, targets: np.ndarray, step: int):
     """Ridge-stabilized normal equations; returns (fitted, coefficients).
 
-    ``targets`` may be (n,) or (n, m) for several regressions sharing the
-    feature matrix.  Features with almost no sample support (hat functions
-    whose knot interval the current states barely visit) are dropped for the
-    step: a near-empty feature's coefficient is pure noise, and through a
+    ``targets`` is (n, m), m regressions sharing the feature matrix.
+    Features with almost no sample support (hat functions whose knot
+    interval the current states barely visit) are dropped for the step: a
+    near-empty feature's coefficient is pure noise, and through a
     quadratic-in-z driver one wild fitted value can destabilize the whole
     recursion.  Rank deficiency of the supported block (diagonally
     normalized condition number beyond 1e12) is an error: the basis is too
@@ -134,8 +134,7 @@ def _fit(features: np.ndarray, targets: np.ndarray, step: int):
     if not support.all():
         rhs = rhs[support]
     sub_coef = np.linalg.solve(sub + RIDGE * np.eye(sub.shape[0]), rhs)
-    coef = np.zeros(features.shape[1]) if targets.ndim == 1 else \
-        np.zeros((features.shape[1], targets.shape[1]))
+    coef = np.zeros((features.shape[1], targets.shape[1]))
     coef[support] = sub_coef
     return features @ coef, coef
 
@@ -196,6 +195,14 @@ def _pick_scheme(spec: DriverSpec, scheme: str | None, force_implicit: bool = Fa
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     return scheme
+
+
+def _terminal_values(spec: DriverSpec, ens: PathEnsemble) -> np.ndarray:
+    """The terminal function on the ensemble's final states, checked finite."""
+    terminal = spec.terminal(ens.states[:, -1])
+    if not np.all(np.isfinite(terminal)):
+        raise DomainError("terminal values are not finite on the ensemble")
+    return terminal
 
 
 def _backward_recursion(
@@ -282,9 +289,7 @@ def solve_lsmc(
     driver depends on y).
     """
     scheme = _pick_scheme(spec, scheme)
-    terminal = spec.terminal(ens.states[:, -1])
-    if not np.all(np.isfinite(terminal)):
-        raise DomainError("terminal values are not finite on the ensemble")
+    terminal = _terminal_values(spec, ens)
 
     def driver(t, x, y, z):
         return eval_driver(spec, t, x, y, z)
@@ -318,7 +323,7 @@ def solve_transformed(
     M = spec.value_floor
     horizon = float(times[-1])
 
-    g_vals = spec.terminal(ens.states[:, -1])
+    g_vals = _terminal_values(spec, ens)
     if np.any(g_vals < M - 1e-9):
         raise DomainError(
             "terminal values fall below value_floor; the declared floor is not a lower bound")
@@ -421,7 +426,9 @@ def martingale_residual(
     """
     if spec is None:
         spec = sol.driver
-    if ens.states.shape != sol.Y.shape:
+    # the terminal row pins the ensemble's paths, the grid its times
+    if (ens.states.shape != sol.Y.shape or ens.grid != sol.grid
+            or not np.array_equal(sol.Y[:, -1], _terminal_values(spec, ens))):
         raise DomainError("solution and ensemble are not aligned")
     dt = ens.grid.dt
     times = ens.grid.times()

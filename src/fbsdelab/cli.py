@@ -33,18 +33,6 @@ from .problem import (ControlProblemSpec, DriverSpec, ForwardSpec, SampleGrid,
                       check_driver_assumptions)
 
 _SECTIONS = ("problem", "numerics", "experiment", "output")
-
-_PROBLEM_KEYS = {
-    "lqr": {"kind", "A", "B", "sigma", "delta", "target", "control_weight",
-            "terminal_weight", "x0", "T"},
-    "driver": {"kind", "mu", "sigma", "x0", "T", "source", "z_slope", "y_term",
-               "z_quad", "terminal", "value_floor"},
-}
-_NUMERICS_KEYS = {"n_paths", "n_steps", "n_space", "pde_steps", "space_span",
-                  "x_lo", "x_hi", "basis", "bsde_scheme", "pde_scheme", "seed"}
-_EXPERIMENT_KEYS = {"kind", "routes", "deltas", "seeds", "bases", "gamma",
-                    "kappa", "phi"}
-_OUTPUT_KEYS = {"dir"}
 _EXPERIMENTS = ("feynman_kac", "uniqueness", "delta_sweep", "check_condition")
 
 
@@ -90,7 +78,7 @@ def _read_sections(text: str, errs: _Collector) -> dict:
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 errs.add(f"unknown section [{name}]", lineno)
-                current = None
+                current = {}   # its keys are never read, so never reported
                 continue
             if name in sections:
                 errs.add(f"duplicate section [{name}]", lineno)
@@ -111,7 +99,8 @@ def _read_sections(text: str, errs: _Collector) -> dict:
 
 
 def _take(section: dict, key: str):
-    return section.get(key, (None, None))
+    """Read a key once: it leaves the section, so what stays is unknown."""
+    return section.pop(key, (None, None))
 
 
 def _number(section, key, errs, path, kind=float, default=None, minimum=None):
@@ -166,6 +155,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(sections: dict, errs: _Collector) -> RunConfig:
+    """Check every key and build the config; consumes ``sections``.
+
+    Reading a key is what declares it: a key still in its section after all
+    reads is reported as unknown, after the other errors.
+    """
     problem = sections.get("problem", {})
     numerics_sec = sections.get("numerics", {})
     experiment_sec = sections.get("experiment", {})
@@ -177,23 +171,10 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
 
     kind_raw, kind_line = _take(problem, "kind")
     kind = (kind_raw or "").strip()
-    if kind not in _PROBLEM_KEYS:
+    if kind not in ("lqr", "driver"):
         if kind_raw is not None or problem:
             errs.add(f"problem.kind must be 'lqr' or 'driver', got {kind_raw!r}", kind_line)
         kind = None
-    if kind is not None:
-        for key, (_, line) in problem.items():
-            if key not in _PROBLEM_KEYS[kind]:
-                errs.add(f"unknown key problem.{key} for kind {kind!r}", line)
-    for key, (_, line) in numerics_sec.items():
-        if key not in _NUMERICS_KEYS:
-            errs.add(f"unknown key numerics.{key}", line)
-    for key, (_, line) in experiment_sec.items():
-        if key not in _EXPERIMENT_KEYS:
-            errs.add(f"unknown key experiment.{key}", line)
-    for key, (_, line) in output_sec.items():
-        if key not in _OUTPUT_KEYS:
-            errs.add(f"unknown key output.{key}", line)
 
     setup = None
     control = None
@@ -210,10 +191,8 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
         if not errs.errors and None not in (A, B, sigma, target, k1, x0, T):
             try:
                 control = ControlProblemSpec(
-                    A=lambda t: A(t), B=lambda t: B(t), sigma=lambda t: sigma(t),
-                    delta=delta, target=lambda t: target(t),
-                    control_weight=lambda t: k1(t), terminal_weight=k2,
-                    x0=x0, horizon=T)
+                    A=A, B=B, sigma=sigma, delta=delta, target=target,
+                    control_weight=k1, terminal_weight=k2, x0=x0, horizon=T)
                 setup = ProblemSetup.from_control(control, label="lqr")
             except FbsdeLabError as exc:
                 errs.add(f"problem: {exc}")
@@ -234,9 +213,7 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
                 drv = DriverSpec(
                     source=source, z_quad=z_quad,
                     terminal=(lambda x, _g=terminal: _g(0.0, x)),
-                    z_slope=z_slope,
-                    y_term=(None if y_term is None else (lambda t, y, _f=y_term: _f(t, y))),
-                    value_floor=floor)
+                    z_slope=z_slope, y_term=y_term, value_floor=floor)
                 setup = ProblemSetup(label="driver", forward=fwd, driver=drv)
             except FbsdeLabError as exc:
                 errs.add(f"problem: {exc}")
@@ -326,6 +303,8 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
         errs.add(f"experiment.bases: uniqueness needs at least 2 bases, got {len(bases)}")
     if experiment == "delta_sweep" and not deltas:
         errs.add("experiment.deltas: delta_sweep needs at least one delta")
+    if experiment == "delta_sweep" and kind == "driver":
+        errs.add("delta_sweep requires problem.kind = lqr")
     gamma = _number(experiment_sec, "gamma", errs, "experiment", float, default=0.5)
     if gamma is not None and not 0.0 < gamma < 1.0:
         errs.add(f"experiment.gamma must lie in (0, 1), got {gamma!r}")
@@ -343,13 +322,17 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
                                         exponent=float(exp_s or 1.0))
             except (ValueError, DomainError) as exc:
                 errs.add(f"experiment.kappa: {exc}", kappa_line)
-    phi_expr = _expression(experiment_sec, "phi", errs, "experiment",
-                           required=False, variables=("t",))
-    phi = 0.0 if phi_expr is None else (lambda t, _e=phi_expr: _e(t))
+    phi = _expression(experiment_sec, "phi", errs, "experiment",
+                      required=False, variables=("t",))
 
     out_raw, _ = _take(output_sec, "dir")
     out_dir = out_raw or "out"
 
+    for name, section in (("problem", problem if kind else {}), ("numerics", numerics_sec),
+                          ("experiment", experiment_sec), ("output", output_sec)):
+        suffix = f" for kind {kind!r}" if name == "problem" else ""
+        for key, (_, line) in section.items():
+            errs.add(f"unknown key {name}.{key}{suffix}", line)
     errs.raise_if_any()
     assert setup is not None
     num = Numerics(
@@ -361,7 +344,7 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     return RunConfig(setup=setup, control=control, numerics=num,
                      experiment=experiment, routes=routes, deltas=deltas,
                      seeds=seeds, bases=bases, gamma=gamma, kappa=kappa,
-                     phi=phi, out_dir=out_dir)
+                     phi=0.0 if phi is None else phi, out_dir=out_dir)
 
 
 def _run_check_condition(config: RunConfig):
@@ -386,8 +369,6 @@ def run(config: RunConfig) -> int:
         print(report.summary())
         return 0 if report.satisfied else 1
     if config.experiment == "delta_sweep":
-        if config.control is None:
-            raise ConfigError(["delta_sweep requires problem.kind = lqr"])
         result = run_delta_sweep(config.control, config.numerics, config.deltas)
     elif config.experiment == "uniqueness":
         result = run_uniqueness_check(config.setup, config.numerics,
@@ -440,10 +421,6 @@ def main(argv=None) -> int:
 
     try:
         return run(config)
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return 2
     except FbsdeLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

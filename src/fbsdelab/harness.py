@@ -61,7 +61,6 @@ class Numerics:
     pde_scheme: str = "auto"
     boundary: str = "linear_extrapolation"
     seed: int = 20240801
-    disc_estimate: bool = True   # halve resolutions once for an error estimate
 
     def space_grid(self, fwd: ForwardSpec) -> SpaceGrid:
         if self.x_lo is not None and self.x_hi is not None:
@@ -180,17 +179,15 @@ def _pde_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
     fwd = setup.forward
     sgrid = numerics.space_grid(fwd)
     tgrid = numerics.pde_time_grid(fwd)
-    sol = solve_pde(fwd, setup.driver, sgrid, tgrid,
-                    scheme=numerics.pde_scheme, boundary=numerics.boundary)
-    value = float(sol.value(0.0, fwd.x0))
-    disc = 0.0
-    if numerics.disc_estimate:
-        fine = solve_pde(fwd, setup.driver, sgrid.refined(2), tgrid.refined(2),
-                         scheme=numerics.pde_scheme, boundary=numerics.boundary)
-        fine_value = float(fine.value(0.0, fwd.x0))
-        disc = abs(fine_value - value)
-        value = fine_value
-    return RouteEstimate("pde", value, 0.0, disc)
+
+    def value(sg: SpaceGrid, tg: TimeGrid) -> float:
+        sol = solve_pde(fwd, setup.driver, sg, tg,
+                        scheme=numerics.pde_scheme, boundary=numerics.boundary)
+        return float(sol.value(0.0, fwd.x0))
+
+    coarse = value(sgrid, tgrid)
+    fine = value(sgrid.refined(2), tgrid.refined(2))
+    return RouteEstimate("pde", fine, 0.0, abs(fine - coarse))
 
 
 def _richer_candidates(basis: BasisSpec) -> list:
@@ -243,25 +240,22 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
 
     ens = simulate_for(tgrid, seed)
     value, stat_err = solve(ens, basis)
-    disc = 0.0
-    if numerics.disc_estimate:
-        # the richer-basis probe reuses the base ensemble, which is freed
-        # before the replicate and half-step ensembles exist
-        shifts = []
-        for richer in _richer_candidates(basis):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    shifts.append(abs(value - solve(ens, richer)[0]))
-                break
-            except SolverError:
-                continue
-        del ens
-        shifts.append(abs(value - solve(simulate_for(tgrid, seed + _REPLICATE_OFFSET), basis)[0]))
-        if tgrid.n_steps >= 2:
-            half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
-            shifts.append(abs(value - solve(simulate_for(half, seed), basis)[0]))
-        disc = max(shifts)
-    return RouteEstimate(route, value, stat_err, disc)
+    # the richer-basis probe reuses the base ensemble, which is freed
+    # before the replicate and half-step ensembles exist
+    shifts = []
+    for richer in _richer_candidates(basis):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifts.append(abs(value - solve(ens, richer)[0]))
+            break
+        except SolverError:
+            continue
+    del ens
+    shifts.append(abs(value - solve(simulate_for(tgrid, seed + _REPLICATE_OFFSET), basis)[0]))
+    if tgrid.n_steps >= 2:
+        half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
+        shifts.append(abs(value - solve(simulate_for(half, seed), basis)[0]))
+    return RouteEstimate(route, value, stat_err, max(shifts))
 
 
 def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
@@ -270,8 +264,7 @@ def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
     return RouteEstimate("riccati", float(ric.value(0.0, setup.control.x0)), 0.0, 1e-9)
 
 
-def estimate_route(setup: ProblemSetup, numerics: Numerics, route: str,
-                   seed: int | None = None, basis: BasisSpec | None = None) -> RouteEstimate:
+def estimate_route(setup: ProblemSetup, numerics: Numerics, route: str) -> RouteEstimate:
     if route == "riccati":
         if setup.control is None or setup.control.delta != 0.0:
             raise DomainError("closed-form route needs an unperturbed control problem")
@@ -279,8 +272,19 @@ def estimate_route(setup: ProblemSetup, numerics: Numerics, route: str,
     if route == "pde":
         return _pde_estimate(setup, numerics)
     if route in LSMC_ROUTES:
-        return _lsmc_estimate(setup, numerics, route, seed=seed, basis=basis)
+        return _lsmc_estimate(setup, numerics, route)
     raise DomainError(f"unknown route {route!r}")
+
+
+def _pairs(items: list, value_err):
+    """Each pair (a, b) with its gap and agreement tolerance 3 (err_a + err_b).
+
+    ``value_err`` maps an item to its (value, error budget).
+    """
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            (va, ea), (vb, eb) = value_err(a), value_err(b)
+            yield a, b, abs(va - vb), 3.0 * (ea + eb)
 
 
 def run_feynman_kac_check(
@@ -297,16 +301,9 @@ def run_feynman_kac_check(
     if routes is None:
         routes = _applicable_routes(setup, tgrid)
     estimates = {r: estimate_route(setup, numerics, r) for r in routes}
-    verdicts = []
-    names = list(estimates)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = estimates[names[i]], estimates[names[j]]
-            gap = abs(a.value - b.value)
-            tol = 3.0 * (a.total_err + b.total_err)
-            verdicts.append(Verdict(
-                criterion=f"agree:{names[i]}~{names[j]}",
-                passed=gap <= tol, observed=gap, tolerance=tol))
+    verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
+                for a, b, gap, tol in _pairs(list(estimates.values()),
+                                             lambda e: (e.value, e.total_err))]
     meta = {
         "label": setup.label, "seed": numerics.seed, "n_paths": numerics.n_paths,
         "n_steps": numerics.n_steps, "n_space": numerics.n_space,
@@ -345,15 +342,10 @@ def run_uniqueness_check(
         return rows
 
     def band_violation(rows):
-        worst = None
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                gap = abs(rows[i][3] - rows[j][3])
-                tol = 3.0 * (rows[i][4] + rows[j][4])
-                excess = gap - tol
-                if excess > 0.0 and (worst is None or excess > worst[0]):
-                    worst = (excess, rows[i], rows[j], gap, tol)
-        return worst
+        """The pair furthest outside its tolerance, or None."""
+        splits = [(gap - tol, a, b, gap, tol)
+                  for a, b, gap, tol in _pairs(rows, lambda r: (r[3], r[4])) if gap > tol]
+        return max(splits, key=lambda w: w[0], default=None)
 
     rows = collect(numerics)
     violation = band_violation(rows)

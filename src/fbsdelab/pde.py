@@ -171,14 +171,6 @@ def _complete(w_int: np.ndarray) -> np.ndarray:
     return full
 
 
-def _central_gradient(v: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    out[0] = (v[1] - v[0]) / dx
-    out[-1] = (v[-1] - v[-2]) / dx
-    return out
-
-
 def solve_pde(
     fwd: ForwardSpec,
     spec: DriverSpec,
@@ -223,15 +215,15 @@ def solve_pde(
         lower, diag_op, upper = _advection_diffusion_diagonals(mu_k, sig_k ** 2, dx)
 
         use_newton = scheme == "newton_implicit"
+        if not use_newton:
+            vx_next = np.gradient(v_next, dx)
         if scheme == "auto":
             H_here = float(np.max(np.abs(spec.z_quad(t))))
-            vx_next = _central_gradient(v_next, dx)
             use_newton = H_here * dt * float(np.max(np.abs(vx_next))) > STIFFNESS_SWITCH
 
         if not use_newton:
-            vx_next = _central_gradient(v_next, dx)[1:-1]
             sig_next = fwd.diffusion(t_next, xin)
-            f_expl = eval_driver(spec, t_next, xin, v_next[1:-1], sig_next * vx_next)
+            f_expl = eval_driver(spec, t_next, xin, v_next[1:-1], sig_next * vx_next[1:-1])
             rhs = v_next[1:-1] + dt * f_expl
             w = _complete(_solve_interior(-dt * lower, 1.0 - dt * diag_op,
                                           -dt * upper, rhs))

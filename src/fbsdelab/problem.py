@@ -311,6 +311,10 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
+FLOOR_TOL = 1e-12      # checker: z_quad and the source-domination margin must clear it
+TERMINAL_TOL = 1e-9    # checker: how far the terminal may dip below value_floor
+
+
 def check_driver_assumptions(
     spec: DriverSpec,
     fwd: ForwardSpec,
@@ -318,36 +322,28 @@ def check_driver_assumptions(
     kappa_candidate: Callable,
     phi_candidate: Callable | float = 0.0,
     gamma: float = 0.5,
-    floor_tol: float = 1e-12,
-    terminal_tol: float = 1e-9,
 ) -> AssumptionReport:
     """Sample every clause of the driver assumptions and report verdicts.
 
     ``kappa_candidate`` and ``phi_candidate`` instantiate the modulus clause
     for the y-nonlinearity; gamma in (0, 1) parametrizes the alternative
     source-domination clause.  Violations carry the witness point that
-    reproduces them at re-evaluation.
+    reproduces them at re-evaluation; a coefficient that is not finite on
+    the grid fails its clause at the first such point.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
     phi = phi_candidate if callable(phi_candidate) else (lambda t, _v=float(phi_candidate): _v)
-
-    clauses = {}
     ts, xs, uv = grid.t, grid.x, grid.uv
 
-    # (i) z_quad positive, bounded away from zero, with a derivative-continuity probe
-    H = spec.z_quad(ts)
-    verdict = None
-    if not np.all(np.isfinite(H)):
-        i = int(np.argmax(~np.isfinite(H)))
-        verdict = ClauseVerdict("z_quad_positive", False, witness=(float(ts[i]),),
-                                detail="non-finite value")
-    elif np.any(H <= floor_tol):
-        i = int(np.argmax(H <= floor_tol))
-        verdict = ClauseVerdict("z_quad_positive", False, witness=(float(ts[i]),),
-                                observed=float(H[i]), threshold=floor_tol,
-                                detail="not positive / not bounded away from zero")
-    else:
+    def z_quad_positive():
+        # positive, bounded away from zero, with a derivative-continuity probe
+        H = _checked_eval("z_quad", spec.z_quad, ts)
+        if np.any(H <= FLOOR_TOL):
+            i = int(np.argmax(H <= FLOOR_TOL))
+            return ClauseVerdict("z_quad_positive", False, witness=(float(ts[i]),),
+                                 observed=float(H[i]), threshold=FLOOR_TOL,
+                                 detail="not positive / not bounded away from zero")
         scale = max(1.0, float(np.max(np.abs(H))) / max(fwd.horizon, 1.0))
         for t in ts:
             eta = 1e-7 * max(1.0, abs(t))
@@ -357,42 +353,27 @@ def check_driver_assumptions(
             bdiff = (float(spec.z_quad(t)) - float(spec.z_quad(t - eta))) / eta
             tol = 1e-6 * max(abs(fdiff), abs(bdiff), scale)
             if abs(fdiff - bdiff) > tol:
-                verdict = ClauseVerdict(
-                    "z_quad_positive", False, witness=(float(t),),
-                    observed=abs(fdiff - bdiff), threshold=tol,
-                    detail="one-sided derivatives disagree (C1 probe)")
-                break
-        if verdict is None:
-            verdict = ClauseVerdict("z_quad_positive", True,
-                                    observed=float(np.min(H)), threshold=floor_tol,
-                                    detail=f"min sampled value {float(np.min(H)):.3e}")
-    clauses["z_quad_positive"] = verdict
+                return ClauseVerdict("z_quad_positive", False, witness=(float(t),),
+                                     observed=abs(fdiff - bdiff), threshold=tol,
+                                     detail="one-sided derivatives disagree (C1 probe)")
+        return ClauseVerdict("z_quad_positive", True,
+                             observed=float(np.min(H)), threshold=FLOOR_TOL,
+                             detail=f"min sampled value {float(np.min(H)):.3e}")
 
-    # (ii) source nonnegative
-    verdict = None
-    for t in ts:
-        fvals = spec.source(t, xs)
-        if not np.all(np.isfinite(fvals)):
-            i = int(np.argmax(~np.isfinite(fvals)))
-            verdict = ClauseVerdict("source_nonnegative", False,
-                                    witness=(float(t), float(xs[i])), detail="non-finite value")
-            break
-        if np.any(fvals < 0.0):
-            i = int(np.argmax(fvals < 0.0))
-            verdict = ClauseVerdict("source_nonnegative", False,
-                                    witness=(float(t), float(xs[i])),
-                                    observed=float(fvals[i]), threshold=0.0)
-            break
-    if verdict is None:
-        verdict = ClauseVerdict("source_nonnegative", True)
-    clauses["source_nonnegative"] = verdict
+    def source_nonnegative():
+        for t in ts:
+            fvals = _checked_eval("source", spec.source, t, xs)
+            if np.any(fvals < 0.0):
+                i = int(np.argmax(fvals < 0.0))
+                return ClauseVerdict("source_nonnegative", False,
+                                     witness=(float(t), float(xs[i])),
+                                     observed=float(fvals[i]), threshold=0.0)
+        return ClauseVerdict("source_nonnegative", True)
 
-    # (iii) modulus bound for the y-nonlinearity
-    verdict = None
-    if spec.y_term is None:
-        verdict = ClauseVerdict("y_term_modulus_bound", True,
-                                detail="y_term is identically zero; left side vanishes")
-    else:
+    def y_term_modulus_bound():
+        if spec.y_term is None:
+            return ClauseVerdict("y_term_modulus_bound", True,
+                                 detail="y_term is identically zero; left side vanishes")
         M = spec.value_floor
         uu, vv = np.meshgrid(uv, uv, indexing="ij")
         mask = uu != vv
@@ -411,66 +392,53 @@ def check_driver_assumptions(
             bad = lhs > rhs + slack
             if np.any(bad):
                 i = int(np.argmax(bad))
-                verdict = ClauseVerdict(
+                return ClauseVerdict(
                     "y_term_modulus_bound", False,
                     witness=(float(t), float(uu[i]), float(vv[i])),
                     observed=float(lhs[i]), threshold=float(np.atleast_1d(rhs)[min(i, np.atleast_1d(rhs).size - 1)]),
                     detail="modulus inequality fails at the witness (t, u, v)")
-                break
-        if verdict is None:
-            verdict = ClauseVerdict("y_term_modulus_bound", True)
-    clauses["y_term_modulus_bound"] = verdict
+        return ClauseVerdict("y_term_modulus_bound", True)
 
-    # (iv) terminal bounded below by the declared floor
-    gvals = spec.terminal(xs)
-    if not np.all(np.isfinite(gvals)):
-        i = int(np.argmax(~np.isfinite(gvals)))
-        verdict = ClauseVerdict("terminal_above_floor", False, witness=(float(xs[i]),),
-                                detail="non-finite value")
-    elif np.any(gvals < spec.value_floor - terminal_tol):
-        i = int(np.argmax(gvals < spec.value_floor - terminal_tol))
-        verdict = ClauseVerdict("terminal_above_floor", False, witness=(float(xs[i]),),
-                                observed=float(gvals[i]),
-                                threshold=spec.value_floor - terminal_tol)
-    else:
-        verdict = ClauseVerdict("terminal_above_floor", True,
-                                observed=float(np.min(gvals)), threshold=spec.value_floor)
-    clauses["terminal_above_floor"] = verdict
+    def terminal_above_floor():
+        gvals = _checked_eval("terminal", spec.terminal, xs)
+        low = spec.value_floor - TERMINAL_TOL
+        if np.any(gvals < low):
+            i = int(np.argmax(gvals < low))
+            return ClauseVerdict("terminal_above_floor", False, witness=(float(xs[i]),),
+                                 observed=float(gvals[i]), threshold=low)
+        return ClauseVerdict("terminal_above_floor", True,
+                             observed=float(np.min(gvals)), threshold=spec.value_floor)
 
-    # (v) z_slope bounded on the sampled grid (finite everywhere; record the bound)
-    verdict = None
-    hmax = 0.0
-    if spec.z_slope is not None:
+    def z_slope_bounded():
+        # finite everywhere on the sampled grid; record the empirical bound
+        hmax = 0.0
+        if spec.z_slope is not None:
+            for t in ts:
+                hmax = max(hmax, float(np.max(np.abs(_checked_eval("z_slope", spec.z_slope, t, xs)))))
+        return ClauseVerdict("z_slope_bounded", True, observed=hmax,
+                             detail=f"empirical bound {hmax:.6g} on the sampled grid")
+
+    def source_dominates_z_slope():
+        # 2 z_quad source - z_slope^2 / gamma >= 0
         for t in ts:
-            hv = spec.z_slope(t, xs)
-            if not np.all(np.isfinite(hv)):
-                i = int(np.argmax(~np.isfinite(hv)))
-                verdict = ClauseVerdict("z_slope_bounded", False,
-                                        witness=(float(t), float(xs[i])),
-                                        detail="non-finite value")
-                break
-            hmax = max(hmax, float(np.max(np.abs(hv))))
-    if verdict is None:
-        verdict = ClauseVerdict("z_slope_bounded", True, observed=hmax,
-                                detail=f"empirical bound {hmax:.6g} on the sampled grid")
-    clauses["z_slope_bounded"] = verdict
+            Ht = float(spec.z_quad(t))
+            hv = spec.z_slope(t, xs) if spec.z_slope is not None else 0.0
+            expr = 2.0 * Ht * spec.source(t, xs) - hv ** 2 / gamma
+            if np.any(expr < -FLOOR_TOL):
+                i = int(np.argmax(expr < -FLOOR_TOL))
+                return ClauseVerdict("source_dominates_z_slope", False,
+                                     witness=(float(t), float(xs[i])),
+                                     observed=float(expr[i]), threshold=0.0)
+        return ClauseVerdict("source_dominates_z_slope", True)
 
-    # (v)' source domination: 2 z_quad source - z_slope^2 / gamma >= 0
-    verdict = None
-    for t in ts:
-        Ht = float(spec.z_quad(t))
-        hv = spec.z_slope(t, xs) if spec.z_slope is not None else 0.0
-        expr = 2.0 * Ht * spec.source(t, xs) - hv ** 2 / gamma
-        if np.any(expr < -floor_tol):
-            i = int(np.argmax(expr < -floor_tol))
-            verdict = ClauseVerdict("source_dominates_z_slope", False,
-                                    witness=(float(t), float(xs[i])),
-                                    observed=float(expr[i]), threshold=0.0)
-            break
-    if verdict is None:
-        verdict = ClauseVerdict("source_dominates_z_slope", True)
-    clauses["source_dominates_z_slope"] = verdict
-
+    clauses = {}
+    for clause in (z_quad_positive, source_nonnegative, y_term_modulus_bound,
+                   terminal_above_floor, z_slope_bounded, source_dominates_z_slope):
+        try:
+            clauses[clause.__name__] = clause()
+        except EvaluationError as exc:
+            clauses[clause.__name__] = ClauseVerdict(clause.__name__, False, witness=exc.point,
+                                                     detail="non-finite value")
     return AssumptionReport(
         clauses=clauses,
         resolution={"n_t": int(ts.size), "n_x": int(xs.size), "n_uv": int(uv.size)},

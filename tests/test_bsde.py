@@ -152,6 +152,14 @@ class TestSolveLsmc:
                               fl.BasisSpec("piecewise_linear", n_knots=10))
 
 
+@pytest.mark.parametrize("solve", [fl.solve_lsmc, fl.solve_transformed])
+def test_non_finite_terminal_rejected(solve):
+    ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 1000, seed=16)
+    spec = driver(z_quad=1.0, terminal=lambda x: np.where(x > 1.0, np.nan, x ** 2))
+    with pytest.raises(DomainError, match="terminal values are not finite"):
+        solve(ens, spec, fl.BasisSpec("polynomial", 2))
+
+
 class TestSolveTransformed:
     def test_constant_terminal_fixed_point(self):
         # F = 0, g = c: transformed values stay exp(-H (c - floor)) and the
@@ -311,3 +319,10 @@ class TestMartingaleResidual:
         other = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 100, seed=0)
         with pytest.raises(DomainError):
             fl.martingale_residual(benchmark_direct_solution, None, other)
+        # same shape, other paths: another seed, or the same seed on [0, 2]
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 2000, seed=1)
+        sol = fl.solve_lsmc(ens, driver(terminal=lambda x: x ** 2), fl.BasisSpec("polynomial", 2))
+        for other in (fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 2000, seed=2),
+                      fl.simulate(brownian(), fl.TimeGrid(0, 2, 16), 2000, seed=1)):
+            with pytest.raises(DomainError, match="not aligned"):
+                fl.martingale_residual(sol, None, other)

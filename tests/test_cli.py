@@ -65,8 +65,9 @@ class TestParseConfig:
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
-            parse(MINIMAL_LQR + "\n[plotting]\ncolor = red\n")
-        assert any("plotting" in e for e in err.value.errors)
+            parse(MINIMAL_LQR + "\n[plotting]\ncolor = red\nwidth = 2\n")
+        assert len(err.value.errors) == 1
+        assert "unknown section [plotting]" in err.value.errors[0]
 
     def test_all_errors_collected(self):
         text = MINIMAL_LQR.replace("B = 1", "B = 1+") \

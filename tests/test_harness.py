@@ -44,7 +44,7 @@ class TestFeynmanKac:
 
     def test_explicit_route_list_respected(self, benchmark_setup):
         res = fl.run_feynman_kac_check(benchmark_setup,
-                                       light_numerics(disc_estimate=False),
+                                       light_numerics(),
                                        routes=["riccati", "pde"])
         assert set(res.routes) == {"riccati", "pde"}
         assert len(res.verdicts) == 1
@@ -98,7 +98,7 @@ class TestUniqueness:
         drv = fl.DriverSpec(source=0.0, z_quad=0.0, terminal=2.0)
         setup = fl.ProblemSetup(label="const", forward=fwd, driver=drv)
         res = fl.run_uniqueness_check(
-            setup, light_numerics(n_paths=64, disc_estimate=False),
+            setup, light_numerics(n_paths=64),
             seed_list=[1, 2, 3], basis_list=[fl.BasisSpec("polynomial", 1),
                                              fl.BasisSpec("polynomial", 2)],
             routes=("direct",))
@@ -152,7 +152,7 @@ class TestDeltaSweep:
 
 class TestArtifacts:
     def test_write_and_reproducibility(self, tmp_path, benchmark_setup):
-        num = light_numerics(disc_estimate=False, n_paths=2000, n_steps=16,
+        num = light_numerics(n_paths=2000, n_steps=16,
                              n_space=101, pde_steps=50)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -163,6 +163,23 @@ class TestAssumptionChecker:
         (x,) = verdict.witness
         assert float(spec.terminal(x)) < 0.0
 
+    @pytest.mark.parametrize("clause, name, coefficient, witness", [
+        ("z_quad_positive", "z_quad", lambda t: np.where(t > 0.5, np.nan, 1.0), (0.53125,)),
+        ("source_nonnegative", "source", np.nan, (0.0, -4.0)),
+        ("terminal_above_floor", "terminal", lambda x: np.where(x < 0.0, np.nan, x), (-4.0,)),
+        ("z_slope_bounded", "z_slope", lambda t, x: np.where(x >= 1.0, np.nan, 0.0), (0.0, 1.0)),
+    ])
+    def test_non_finite_coefficient_fails_its_clause(self, clause, name, coefficient, witness):
+        spec = make_driver(**{"source": 1.0, "z_quad": 1.0, name: coefficient})
+        fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
+        report = fl.check_driver_assumptions(spec, fwd, fl.SampleGrid.regular(1.0, -4.0, 4.0),
+                                             kappa_candidate=fl.identity_modulus)
+        verdict = report.clauses[clause]
+        assert not verdict.passed
+        assert verdict.detail == "non-finite value"
+        assert verdict.witness == witness
+        assert not np.isfinite(getattr(spec, name)(*witness))
+
     def test_modulus_clause_violation_witness_reproduces(self):
         # a steep y-nonlinearity against a tiny phi budget must fail
         spec = make_driver(source=1.0, z_quad=1.0,
