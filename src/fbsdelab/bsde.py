@@ -9,6 +9,11 @@ Three routes estimate the same value process on a simulated ensemble:
 * girsanov: the direct recursion with the drift-eliminated driver on
   driftless paths.
 
+The backward step is explicit in y when the driver does not depend on y,
+and one-step implicit (a per-path Newton fixed point) when it does; the
+transformed route's driver always depends on its value, so its step is
+always implicit.
+
 Per step, the z-component is estimated by regressing Y_{k+1} dW_k on the
 state basis and dividing by dt; the conditional mean of Y_{k+1} comes from
 the same feature matrix F, filled in place (powers by recurrence for the
@@ -40,7 +45,6 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 20
 
 BASIS_FAMILIES = ("polynomial", "piecewise_linear")
-SCHEMES = ("explicit", "one_step_implicit")
 
 
 @dataclass(frozen=True)
@@ -189,14 +193,6 @@ class BackwardSolution:
         return self.Z.shape[1]
 
 
-def _pick_scheme(spec: DriverSpec, scheme: str | None, force_implicit: bool = False) -> str:
-    if scheme is None:
-        scheme = "one_step_implicit" if (spec.depends_on_y or force_implicit) else "explicit"
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return scheme
-
-
 def _terminal_values(spec: DriverSpec, ens: PathEnsemble) -> np.ndarray:
     """The terminal function on the ensemble's final states, checked finite."""
     terminal = spec.terminal(ens.states[:, -1])
@@ -210,12 +206,14 @@ def _backward_recursion(
     terminal: np.ndarray,
     driver: Callable,
     basis_spec: BasisSpec,
-    scheme: str,
+    implicit: bool,
     clamp: tuple | None = None,
 ):
     """Shared backward loop; optionally clamps the value into a band per step.
 
-    Returns (V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target).
+    Returns (V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target, v0), where
+    v0 is the time-0 value: the common entry when every path starts at one
+    state, the path mean otherwise.
     """
     n_paths, n_steps = ens.dW.shape
     dt = ens.grid.dt
@@ -246,10 +244,10 @@ def _backward_recursion(
             zk = fitted[:, 1] / dt
             y_coefs[k] = coef[:, 0]
             z_coefs[k] = coef[:, 1] / dt
-        if scheme == "explicit":
-            v = m + np.asarray(driver(t, x, v_next, zk), dtype=float) * dt
-        else:
+        if implicit:
             v = _implicit_y(driver, t, x, m, zk, dt, step=k)
+        else:
+            v = m + np.asarray(driver(t, x, v_next, zk), dtype=float) * dt
         if not np.all(np.isfinite(v)):
             raise SolverError(
                 f"backward recursion produced non-finite values at step {k}; "
@@ -270,44 +268,42 @@ def _backward_recursion(
         V[:, k] = v
         Zc[:, k] = zk
     stderr_target = float(V[:, 1].std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target
+    v0 = float(V[0, 0]) if float(np.ptp(V[:, 0])) == 0.0 else float(V[:, 0].mean())
+    return V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target, v0
 
 
 def solve_lsmc(
     ens: PathEnsemble,
     spec: DriverSpec,
     basis: BasisSpec,
-    scheme: str | None = None,
     route: str = "direct",
 ) -> BackwardSolution:
     """Direct backward regression on the original driver.
 
     Terminal values are applied pointwise; per step the conditional mean and
-    the incremental z-regression share one feature matrix.  The y-argument of
-    the driver is the previous backward iterate for the explicit scheme and
-    the Newton fixed point for one_step_implicit (the default whenever the
-    driver depends on y).
+    the incremental z-regression share one feature matrix.  The step follows
+    the driver: when it depends on y, the y-argument is the per-path Newton
+    fixed point (scheme one_step_implicit); otherwise it is the previous
+    backward iterate (scheme explicit).
     """
-    scheme = _pick_scheme(spec, scheme)
     terminal = _terminal_values(spec, ens)
 
     def driver(t, x, y, z):
         return eval_driver(spec, t, x, y, z)
 
-    V, Zc, y_coefs, z_coefs, clamps, se = _backward_recursion(
-        ens, terminal, driver, basis, scheme)
+    V, Zc, y_coefs, z_coefs, clamps, se, y0 = _backward_recursion(
+        ens, terminal, driver, basis, implicit=spec.depends_on_y)
     return BackwardSolution(
-        grid=ens.grid, Y=V, Z=Zc, route=route, scheme=scheme, basis=basis,
+        grid=ens.grid, Y=V, Z=Zc, route=route,
+        scheme="one_step_implicit" if spec.depends_on_y else "explicit", basis=basis,
         y_coefficients=y_coefs, z_coefficients=z_coefs,
-        y0=float(V[0, 0]) if float(np.ptp(V[:, 0])) == 0.0 else float(V[:, 0].mean()),
-        y0_stderr=se, clamp_counts=clamps, driver=spec)
+        y0=y0, y0_stderr=se, clamp_counts=clamps, driver=spec)
 
 
 def solve_transformed(
     ens: PathEnsemble,
     spec: DriverSpec,
     basis: BasisSpec,
-    scheme: str | None = None,
 ) -> BackwardSolution:
     """Solve the exponentially transformed equation and map back.
 
@@ -345,19 +341,17 @@ def solve_transformed(
             out = out + spec.z_slope(t, x) * lam
         return out
 
-    scheme = _pick_scheme(spec, scheme, force_implicit=True)
-    U, Lam, y_coefs, z_coefs, clamps, se_u = _backward_recursion(
-        ens, u_terminal, u_driver, basis, scheme, clamp=(U_FLOOR, 1.0))
+    U, Lam, y_coefs, z_coefs, clamps, se_u, u0 = _backward_recursion(
+        ens, u_terminal, u_driver, basis, implicit=True, clamp=(U_FLOOR, 1.0))
 
     Hrow = H[np.newaxis, :]
     Y = M - np.log(U) / Hrow
     Y[:, -1] = g_vals   # terminal applied pointwise, exact
     Z = -Lam / (Hrow[:, :-1] * U[:, :-1])
-    u0 = float(U[0, 0]) if float(np.ptp(U[:, 0])) == 0.0 else float(U[:, 0].mean())
     y0 = float(M - np.log(u0) / H[0])
     y0_stderr = float(se_u / (H[0] * u0))
     return BackwardSolution(
-        grid=ens.grid, Y=Y, Z=Z, route="transformed", scheme=scheme, basis=basis,
+        grid=ens.grid, Y=Y, Z=Z, route="transformed", scheme="one_step_implicit", basis=basis,
         y_coefficients=y_coefs, z_coefficients=z_coefs,
         y0=y0, y0_stderr=y0_stderr, clamp_counts=clamps, driver=spec)
 
@@ -367,7 +361,6 @@ def solve_girsanov(
     spec: DriverSpec,
     fwd: ForwardSpec,
     basis: BasisSpec,
-    scheme: str | None = None,
 ) -> BackwardSolution:
     """Direct recursion with the drift-eliminated driver on driftless paths.
 
@@ -388,8 +381,7 @@ def solve_girsanov(
                 "ensemble does not look driftless: increments deviate from sigma dW "
                 f"at step {k}; simulate it with mu = 0")
     shifted = girsanov_shifted_driver(spec, fwd)
-    sol = solve_lsmc(ens0, shifted, basis, scheme=scheme, route="girsanov")
-    return sol
+    return solve_lsmc(ens0, shifted, basis, route="girsanov")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import SCHEMES, BasisSpec
+from .bsde import BasisSpec
 from .errors import ConfigError, DomainError, FbsdeLabError
 from .expressions import ExpressionError, parse_expression
 from .harness import (ROUTES, Numerics, ProblemSetup, run_delta_sweep,
@@ -243,13 +243,6 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
             basis = _basis_from_label(basis_raw)
         except (ValueError, DomainError) as exc:
             errs.add(f"numerics.basis: {exc}", basis_line)
-    scheme_raw, scheme_line = _take(numerics_sec, "bsde_scheme")
-    bsde_scheme = None
-    if scheme_raw is not None and scheme_raw != "auto":
-        if scheme_raw not in SCHEMES:
-            errs.add(f"numerics.bsde_scheme: unknown scheme {scheme_raw!r}", scheme_line)
-        else:
-            bsde_scheme = scheme_raw
     pde_raw, pde_line = _take(numerics_sec, "pde_scheme")
     pde_scheme = pde_raw or "auto"
     if pde_scheme not in PDE_SCHEMES:
@@ -340,7 +333,7 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
         pde_steps=pde_steps or None, space_span=span,
         x_lo=None if np.isnan(x_lo) else x_lo,
         x_hi=None if np.isnan(x_hi) else x_hi,
-        basis=basis, bsde_scheme=bsde_scheme, pde_scheme=pde_scheme, seed=seed)
+        basis=basis, pde_scheme=pde_scheme, seed=seed)
     return RunConfig(setup=setup, control=control, numerics=num,
                      experiment=experiment, routes=routes, deltas=deltas,
                      seeds=seeds, bases=bases, gamma=gamma, kappa=kappa,

@@ -139,8 +139,8 @@ class ControlPolicy:
         return cls(f"constant({c:g})", lambda t, x: c)
 
     @classmethod
-    def riccati_feedback(cls, ric: RiccatiSolution, u_max: float = 1e6) -> "ControlPolicy":
-        return cls("riccati_feedback", ric.feedback, u_max=u_max)
+    def riccati_feedback(cls, ric: RiccatiSolution) -> "ControlPolicy":
+        return cls("riccati_feedback", ric.feedback)
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,9 @@ def estimate_cost(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    scheme: str = "tamed_euler",
 ) -> CostEstimate:
     """Sample mean and standard error of the discretized tracking cost."""
-    ens = controlled_simulate(cps, policy, grid, n_paths, seed, scheme=scheme)
+    ens = controlled_simulate(cps, policy, grid, n_paths, seed)
     cost = _per_path_costs(cps, policy, ens)
     return CostEstimate(
         policy=policy.name,
@@ -212,7 +211,6 @@ def compare_policies(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    scheme: str = "tamed_euler",
 ) -> PolicyRanking:
     """Estimate every policy's cost on identical noise and rank them.
 
@@ -229,7 +227,7 @@ def compare_policies(
         while name in estimates:   # duplicates allowed; disambiguate the label
             name = f"{pol.name}#{k}"
             k += 1
-        est = estimate_cost(cps, pol, grid, n_paths, seed, scheme=scheme)
+        est = estimate_cost(cps, pol, grid, n_paths, seed)
         estimates[name] = CostEstimate(policy=name, mean=est.mean, stderr=est.stderr,
                                        n_paths=est.n_paths, per_path=est.per_path)
     order = sorted(estimates, key=lambda name: estimates[name].mean)

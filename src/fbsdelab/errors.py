@@ -16,13 +16,10 @@ class EvaluationError(FbsdeLabError, ArithmeticError):
     offending problem definition can be located.
     """
 
-    def __init__(self, coefficient: str, point, detail: str = ""):
+    def __init__(self, coefficient: str, point):
         self.coefficient = coefficient
         self.point = point
-        msg = f"coefficient {coefficient!r} produced a non-finite value at {point}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"coefficient {coefficient!r} produced a non-finite value at {point}")
 
 
 class SimulationError(FbsdeLabError, RuntimeError):

@@ -57,7 +57,6 @@ class Numerics:
     x_lo: float | None = None    # explicit truncation overrides the span
     x_hi: float | None = None
     basis: BasisSpec = field(default_factory=BasisSpec)
-    bsde_scheme: str | None = None
     pde_scheme: str = "auto"
     boundary: str = "linear_extrapolation"
     seed: int = 20240801
@@ -231,11 +230,11 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
 
     def solve(ens, bs: BasisSpec) -> tuple:
         if route == "girsanov":
-            sol = solve_girsanov(ens, setup.driver, fwd, bs, scheme=numerics.bsde_scheme)
+            sol = solve_girsanov(ens, setup.driver, fwd, bs)
         elif route == "transformed":
-            sol = solve_transformed(ens, setup.driver, bs, scheme=numerics.bsde_scheme)
+            sol = solve_transformed(ens, setup.driver, bs)
         else:
-            sol = solve_lsmc(ens, setup.driver, bs, scheme=numerics.bsde_scheme)
+            sol = solve_lsmc(ens, setup.driver, bs)
         return sol.y0, sol.y0_stderr   # drops Y and Z, each as large as the ensemble
 
     ens = simulate_for(tgrid, seed)
@@ -413,9 +412,8 @@ def run_delta_sweep(
         "deltas": uniq, "n_space": numerics.n_space, "n_steps": numerics.n_steps,
     }
     if 0.0 in values:
-        tgrid = numerics.time_grid(cps.uncontrolled_forward())
-        ric = solve_riccati(replace(cps, delta=0.0), tgrid)
-        anchor = float(ric.value(0.0, cps.x0))
+        anchor = _riccati_estimate(
+            ProblemSetup.from_control(replace(cps, delta=0.0), label="delta=0"), numerics).value
         gap = abs(values[0.0].value - anchor)
         verdicts.append(Verdict("anchor_matches_closed_form", gap <= 5e-3, gap, 5e-3))
         meta["closed_form_value"] = anchor

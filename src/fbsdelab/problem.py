@@ -349,8 +349,9 @@ def check_driver_assumptions(
             eta = 1e-7 * max(1.0, abs(t))
             if t - eta <= 0.0 or t + eta >= fwd.horizon:
                 continue
-            fdiff = (float(spec.z_quad(t + eta)) - float(spec.z_quad(t))) / eta
-            bdiff = (float(spec.z_quad(t)) - float(spec.z_quad(t - eta))) / eta
+            lo, mid, hi = (_checked_eval("z_quad", spec.z_quad, s) for s in (t - eta, t, t + eta))
+            fdiff = (hi - mid) / eta
+            bdiff = (mid - lo) / eta
             tol = 1e-6 * max(abs(fdiff), abs(bdiff), scale)
             if abs(fdiff - bdiff) > tol:
                 return ClauseVerdict("z_quad_positive", False, witness=(float(t),),
@@ -379,15 +380,15 @@ def check_driver_assumptions(
         mask = uu != vv
         uu, vv = uu[mask], vv[mask]
         gap = np.abs(uu - vv)
-        kap = np.asarray(kappa_candidate(gap ** 2), dtype=float)
+        kap = _checked_eval("kappa_candidate", kappa_candidate, gap ** 2)
         for t in ts:
-            Ht = float(spec.z_quad(t))
+            Ht = _checked_eval("z_quad", spec.z_quad, t)
             if Ht <= 0.0:
                 continue   # clause (i) already witnesses this t
-            lu = spec.y_term(t, M - np.log(uu) / Ht)
-            lv = spec.y_term(t, M - np.log(vv) / Ht)
+            lu = _checked_eval("y_term", spec.y_term, t, M - np.log(uu) / Ht)
+            lv = _checked_eval("y_term", spec.y_term, t, M - np.log(vv) / Ht)
             lhs = 2.0 * gap * np.abs(uu * lu - vv * lv)
-            rhs = float(phi(t)) * kap
+            rhs = float(_checked_eval("phi", phi, t)) * kap
             slack = 1e-12 * (1.0 + np.abs(rhs))
             bad = lhs > rhs + slack
             if np.any(bad):
@@ -421,9 +422,9 @@ def check_driver_assumptions(
     def source_dominates_z_slope():
         # 2 z_quad source - z_slope^2 / gamma >= 0
         for t in ts:
-            Ht = float(spec.z_quad(t))
-            hv = spec.z_slope(t, xs) if spec.z_slope is not None else 0.0
-            expr = 2.0 * Ht * spec.source(t, xs) - hv ** 2 / gamma
+            Ht = _checked_eval("z_quad", spec.z_quad, t)
+            hv = _checked_eval("z_slope", spec.z_slope, t, xs) if spec.z_slope is not None else 0.0
+            expr = 2.0 * Ht * _checked_eval("source", spec.source, t, xs) - hv ** 2 / gamma
             if np.any(expr < -FLOOR_TOL):
                 i = int(np.argmax(expr < -FLOOR_TOL))
                 return ClauseVerdict("source_dominates_z_slope", False,

@@ -145,16 +145,15 @@ def controlled_simulate(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    scheme: str = "tamed_euler",
 ) -> PathEnsemble:
     """Simulate dX = (A x - delta x^3 + B u) dt + sigma dW under a feedback policy.
 
     Uses the same noise layout as ``simulate``: with the policy forced to
     zero the ensemble matches the uncontrolled one bit for bit on the same
-    seed.  Taming (when selected) applies to the whole controlled drift.
+    seed.  Taming applies to the whole controlled drift.
     """
     fwd = ForwardSpec(mu=lambda t, x: cps.drift(t, x) + cps.B(t) * policy(t, x),
                       sigma=lambda t, x: cps.sigma(t), x0=cps.x0, horizon=cps.horizon)
     dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
-    states = _march(fwd, grid, dW, scheme)
-    return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed, scheme=scheme)
+    states = _march(fwd, grid, dW, "tamed_euler")
+    return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed)

@@ -58,10 +58,11 @@ class TestParseConfig:
         assert "problem.sigma" in joined and "column" in joined
 
     def test_unknown_keys_rejected(self):
-        text = MINIMAL_LQR + "\n[numerics]\nn_paths = 100\nwarp_speed = 9\n"
-        with pytest.raises(ConfigError) as err:
-            parse(text)
-        assert any("warp_speed" in e for e in err.value.errors)
+        for key, value in (("warp_speed", "9"), ("bsde_scheme", "auto")):
+            text = MINIMAL_LQR + f"\n[numerics]\nn_paths = 100\n{key} = {value}\n"
+            with pytest.raises(ConfigError) as err:
+                parse(text)
+            assert any(f"unknown key numerics.{key}" in e for e in err.value.errors)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:

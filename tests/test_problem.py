@@ -168,17 +168,26 @@ class TestAssumptionChecker:
         ("source_nonnegative", "source", np.nan, (0.0, -4.0)),
         ("terminal_above_floor", "terminal", lambda x: np.where(x < 0.0, np.nan, x), (-4.0,)),
         ("z_slope_bounded", "z_slope", lambda t, x: np.where(x >= 1.0, np.nan, 0.0), (0.0, 1.0)),
+        ("y_term_modulus_bound", "y_term", lambda t, y: np.where(y < 1.0, np.nan, 0.0),
+         (0.0, 0.8754687373539001)),
+        ("y_term_modulus_bound", "phi", lambda t: np.where(t < 0.5, np.nan, 1.0), (0.0,)),
     ])
     def test_non_finite_coefficient_fails_its_clause(self, clause, name, coefficient, witness):
-        spec = make_driver(**{"source": 1.0, "z_quad": 1.0, name: coefficient})
+        # phi is the checker's argument, not the spec's; a zero y_term lets its clause run
+        coefficients = {"source": 1.0, "z_quad": 1.0, "y_term": lambda t, y: 0.0 * y,
+                        "phi": 1.0, name: coefficient}
+        phi = coefficients.pop("phi")
+        spec = make_driver(**coefficients)
         fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
         report = fl.check_driver_assumptions(spec, fwd, fl.SampleGrid.regular(1.0, -4.0, 4.0),
-                                             kappa_candidate=fl.identity_modulus)
+                                             kappa_candidate=fl.identity_modulus,
+                                             phi_candidate=phi)
         verdict = report.clauses[clause]
         assert not verdict.passed
+        assert not report.satisfied
         assert verdict.detail == "non-finite value"
         assert verdict.witness == witness
-        assert not np.isfinite(getattr(spec, name)(*witness))
+        assert not np.isfinite((phi if name == "phi" else getattr(spec, name))(*witness))
 
     def test_modulus_clause_violation_witness_reproduces(self):
         # a steep y-nonlinearity against a tiny phi budget must fail

@@ -158,14 +158,14 @@ class TestControlledSimulate:
         assert np.array_equal(controlled.states, plain.states)
 
     def test_pure_integration(self):
-        # A = 0, sigma = 0, B = 1, u = 1 from x0 = 0: X_t = t exactly
+        # A = 0, sigma = 0, B = 1, u = 1 from x0 = 0: the tamed drift is
+        # 1 / (1 + dt) per step, so X_t = t / (1 + dt) exactly
         cps = fl.ControlProblemSpec(A=0.0, B=1.0, sigma=0.0, delta=0.0, target=0.0,
                                     control_weight=1.0, terminal_weight=0.0,
                                     x0=0.0, horizon=1.0)
         tg = fl.TimeGrid(0, 1, 64)
-        ens = fl.controlled_simulate(cps, fl.ControlPolicy.constant(1.0), tg, 3,
-                                     seed=0, scheme="euler")
-        np.testing.assert_allclose(ens.states[0], tg.times(), atol=1e-14)
+        ens = fl.controlled_simulate(cps, fl.ControlPolicy.constant(1.0), tg, 3, seed=0)
+        np.testing.assert_allclose(ens.states[0], tg.times() / (1.0 + tg.dt), atol=1e-14)
 
     def test_feedback_cost_matches_quadratic_value(self, benchmark_cps, benchmark_value):
         tg = fl.TimeGrid(0, 1, 128)
