@@ -21,13 +21,12 @@ from .harness import (ExperimentResult, Numerics, ProblemSetup, RouteEstimate,
 from .moduli import (LogPowerModulus, ProductInequalityReport,
                      identity_modulus, osgood_divergence_probe,
                      product_inequality_check)
-from .pde import (GridSolution, SpaceGrid, evolution_operator_residual,
-                  extract_feedback, solve_pde)
+from .pde import GridSolution, SpaceGrid, extract_feedback, solve_pde
 from .problem import (AssumptionReport, ClauseVerdict, ControlProblemSpec,
                       DriverSpec, ForwardSpec, SampleGrid,
                       check_driver_assumptions, eval_driver,
                       girsanov_shifted_driver)
-from .sde import PathEnsemble, TimeGrid, controlled_simulate, simulate
+from .sde import PathEnsemble, TimeGrid, simulate
 
 __version__ = "0.1.0"
 
@@ -41,8 +40,7 @@ __all__ = [
     "ProductInequalityReport", "RiccatiSolution", "RouteEstimate",
     "SampleGrid", "SimulationError", "SolverError", "SpaceGrid",
     "TimeGrid", "Verdict", "check_driver_assumptions", "compare_policies",
-    "controlled_simulate", "estimate_cost", "eval_driver",
-    "evolution_operator_residual", "extract_feedback",
+    "estimate_cost", "eval_driver", "extract_feedback",
     "girsanov_shifted_driver", "identity_modulus", "martingale_residual",
     "osgood_divergence_probe", "parse_expression",
     "product_inequality_check", "run_delta_sweep", "run_feynman_kac_check",

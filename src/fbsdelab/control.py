@@ -18,14 +18,14 @@ alignment of the explicit state stepping.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .problem import ControlProblemSpec, _full_field
-from .sde import TimeGrid, controlled_simulate
+from .sde import TimeGrid, simulate
 
 
 def _write_rows(path, columns, rows) -> None:
@@ -178,8 +178,16 @@ def estimate_cost(
     n_paths: int,
     seed: int,
 ) -> CostEstimate:
-    """Sample mean and standard error of the discretized tracking cost."""
-    ens = controlled_simulate(cps, policy, grid, n_paths, seed)
+    """Sample mean and standard error of the discretized tracking cost.
+
+    The controlled paths dX = (A x - delta x^3 + B u) dt + sigma dW take the
+    same noise as ``simulate`` on the uncontrolled forward, with taming
+    applied to the whole controlled drift: with the policy forced to zero
+    they match the uncontrolled ensemble bit for bit on the same seed.
+    """
+    fwd = replace(cps.uncontrolled_forward(),
+                  mu=lambda t, x: cps.drift(t, x) + cps.B(t) * policy(t, x))
+    ens = simulate(fwd, grid, n_paths, seed)
     cost = _per_path_costs(cps, policy, ens)
     return CostEstimate(
         policy=policy.name,

@@ -222,11 +222,11 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
     seed = numerics.seed if seed is None else seed
     basis = numerics.basis if basis is None else basis
 
+    # girsanov needs driftless paths; with mu = 0 the tamed step is plain Euler
+    sim_fwd = replace(fwd, mu=0.0) if route == "girsanov" else fwd
+
     def simulate_for(tg: TimeGrid, sd: int):
-        if route == "girsanov":
-            driftless = ForwardSpec(mu=0.0, sigma=fwd.sigma, x0=fwd.x0, horizon=fwd.horizon)
-            return simulate(driftless, tg, numerics.n_paths, sd, scheme="euler")
-        return simulate(fwd, tg, numerics.n_paths, sd)
+        return simulate(sim_fwd, tg, numerics.n_paths, sd)
 
     def solve(ens, bs: BasisSpec) -> tuple:
         if route == "girsanov":
@@ -300,6 +300,8 @@ def run_feynman_kac_check(
     if routes is None:
         routes = _applicable_routes(setup, tgrid)
     estimates = {r: estimate_route(setup, numerics, r) for r in routes}
+    if len(estimates) < 2:
+        raise DomainError(f"need at least 2 distinct routes to compare, got {list(estimates)}")
     verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
                 for a, b, gap, tol in _pairs(list(estimates.values()),
                                              lambda e: (e.value, e.total_err))]

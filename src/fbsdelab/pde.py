@@ -77,8 +77,6 @@ class GridSolution:
     tgrid: TimeGrid
     sgrid: SpaceGrid
     v: np.ndarray          # (n_steps + 1, n_points)
-    scheme: str
-    boundary: str
     newton_steps: int = 0  # time steps that used the Newton path
 
     def __post_init__(self):
@@ -272,48 +270,7 @@ def solve_pde(
                 f"non-finite value at time index {k} (t={t:.6g}), node x={xs[j]:.6g}", step=k)
         v[k] = w
 
-    return GridSolution(tgrid=tgrid, sgrid=sgrid, v=v, scheme=scheme,
-                        boundary=boundary, newton_steps=newton_steps)
-
-
-@dataclass(frozen=True)
-class OperatorResidual:
-    """Centered-difference residual of the solved field on interior nodes."""
-
-    field: np.ndarray      # (n_steps - 1, n_points - 2)
-    max_abs: float
-    mean_abs: float
-
-
-def evolution_operator_residual(
-    sol: GridSolution, fwd: ForwardSpec, spec: DriverSpec,
-) -> OperatorResidual:
-    """Evaluate v_t + mu v_x + 0.5 sigma^2 v_xx + F on interior nodes.
-
-    One-sided stencils are excluded; a converged solve drives this to zero
-    under refinement at the scheme's order.
-    """
-    times = sol.tgrid.times()
-    xs = sol.sgrid.nodes()
-    dt = sol.tgrid.dt
-    dx = sol.sgrid.dx
-    v = sol.v
-    rows = []
-    for k in range(1, sol.tgrid.n_steps):
-        t = float(times[k])
-        xin = xs[1:-1]
-        v_t = (v[k + 1, 1:-1] - v[k - 1, 1:-1]) / (2.0 * dt)
-        v_x = (v[k, 2:] - v[k, :-2]) / (2.0 * dx)
-        v_xx = (v[k, 2:] - 2.0 * v[k, 1:-1] + v[k, :-2]) / dx ** 2
-        mu = fwd.drift(t, xin)
-        sig = fwd.diffusion(t, xin)
-        f_val = eval_driver(spec, t, xin, v[k, 1:-1], sig * v_x)
-        rows.append(v_t + mu * v_x + 0.5 * sig ** 2 * v_xx + f_val)
-    if not rows:
-        return OperatorResidual(field=np.zeros((0, xs.size - 2)), max_abs=0.0, mean_abs=0.0)
-    field = np.array(rows)
-    return OperatorResidual(field=field, max_abs=float(np.max(np.abs(field))),
-                            mean_abs=float(np.mean(np.abs(field))))
+    return GridSolution(tgrid=tgrid, sgrid=sgrid, v=v, newton_steps=newton_steps)
 
 
 def extract_feedback(sol: GridSolution, cps: ControlProblemSpec) -> ControlPolicy:

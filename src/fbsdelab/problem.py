@@ -433,13 +433,15 @@ def check_driver_assumptions(
         return ClauseVerdict("source_dominates_z_slope", True)
 
     clauses = {}
-    for clause in (z_quad_positive, source_nonnegative, y_term_modulus_bound,
-                   terminal_above_floor, z_slope_bounded, source_dominates_z_slope):
-        try:
-            clauses[clause.__name__] = clause()
-        except EvaluationError as exc:
-            clauses[clause.__name__] = ClauseVerdict(clause.__name__, False, witness=exc.point,
-                                                     detail="non-finite value")
+    # a non-finite value is this checker's verdict, not a numpy warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for clause in (z_quad_positive, source_nonnegative, y_term_modulus_bound,
+                       terminal_above_floor, z_slope_bounded, source_dominates_z_slope):
+            try:
+                clauses[clause.__name__] = clause()
+            except EvaluationError as exc:
+                clauses[clause.__name__] = ClauseVerdict(
+                    clause.__name__, False, witness=exc.point, detail="non-finite value")
     return AssumptionReport(
         clauses=clauses,
         resolution={"n_t": int(ts.size), "n_x": int(xs.size), "n_uv": int(uv.size)},

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SimulationError
-from .problem import ControlProblemSpec, ForwardSpec
+from .problem import ForwardSpec
 
 # Paths per RNG block; fixed so path content is independent of n_paths.
 _BLOCK = 4096
@@ -138,22 +138,3 @@ def simulate(
     states = _march(fwd, grid, dW, scheme)
     return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed, scheme=scheme)
 
-
-def controlled_simulate(
-    cps: ControlProblemSpec,
-    policy,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-) -> PathEnsemble:
-    """Simulate dX = (A x - delta x^3 + B u) dt + sigma dW under a feedback policy.
-
-    Uses the same noise layout as ``simulate``: with the policy forced to
-    zero the ensemble matches the uncontrolled one bit for bit on the same
-    seed.  Taming applies to the whole controlled drift.
-    """
-    fwd = ForwardSpec(mu=lambda t, x: cps.drift(t, x) + cps.B(t) * policy(t, x),
-                      sigma=lambda t, x: cps.sigma(t), x0=cps.x0, horizon=cps.horizon)
-    dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
-    states = _march(fwd, grid, dW, "tamed_euler")
-    return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed)

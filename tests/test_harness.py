@@ -59,6 +59,14 @@ class TestFeynmanKac:
             fl.run_feynman_kac_check(perturbed_setup, light_numerics(),
                                      routes=["riccati"])
 
+    @pytest.mark.parametrize("routes", [["pde"], ["pde", "pde"]])
+    def test_single_route_rejected(self, benchmark_setup, routes):
+        # one route has nothing to agree with; a pass would compare nothing
+        with pytest.raises(DomainError, match="at least 2 distinct routes"):
+            fl.run_feynman_kac_check(benchmark_setup,
+                                     light_numerics(n_space=41, pde_steps=20),
+                                     routes=routes)
+
 
 class TestLsmcEstimate:
     def test_richer_probe_reuses_the_base_ensemble(self, benchmark_setup, monkeypatch):

@@ -156,51 +156,6 @@ class TestSolvePde:
         assert abs(u(0.3, 0.0)) <= 1e-9
 
 
-class TestOperatorResidual:
-    def test_heat_interior_residual_tiny(self):
-        fwd, drv = heat_parts()
-        sg = fl.SpaceGrid(-10.0, 10.0, 671)
-        tg = fl.TimeGrid(0.0, 1.0, 200)
-        sol = fl.solve_pde(fwd, drv, sg, tg, scheme="imex")
-        res = fl.evolution_operator_residual(sol, fwd, drv)
-        mask = np.abs(sg.nodes()[1:-1]) <= 3.0
-        assert np.max(np.abs(res.field[:, mask])) <= 1e-6
-
-    def test_benchmark_residual_halves_under_refinement(self, benchmark_setup):
-        # away from the artificial truncation boundary the residual is small
-        # and first-order in dt; the boundary rows obey the extrapolation
-        # policy, not the equation, so they are excluded
-        vals = []
-        for nt in (200, 400):
-            sg = fl.SpaceGrid(-5.0, 7.0, 401)
-            sol = fl.solve_pde(benchmark_setup.forward, benchmark_setup.driver,
-                               sg, fl.TimeGrid(0, 1, nt))
-            res = fl.evolution_operator_residual(sol, benchmark_setup.forward,
-                                                 benchmark_setup.driver)
-            mask = np.abs(sg.nodes()[1:-1] - 1.0) <= 3.0
-            vals.append(np.max(np.abs(res.field[:, mask])))
-        assert vals[0] <= 5e-2
-        assert vals[1] <= 0.6 * vals[0]
-
-    def test_perturbed_field_is_flagged(self):
-        fwd, drv = heat_parts()
-        sg = fl.SpaceGrid(-6.0, 6.0, 101)
-        tg = fl.TimeGrid(0.0, 1.0, 50)
-        sol = fl.solve_pde(fwd, drv, sg, tg)
-        xs_in = sg.nodes()[1:-1]
-        mask = np.abs(xs_in) <= 3.0
-        base = np.abs(fl.evolution_operator_residual(sol, fwd, drv).field[:, mask]).max()
-        noisy_v = sol.v.copy()
-        rng = np.random.Generator(np.random.Philox(key=[1, 2]))
-        noise = 1e-3 * rng.standard_normal(noisy_v.shape)
-        noisy = fl.GridSolution(tgrid=sol.tgrid, sgrid=sol.sgrid, v=noisy_v + noise,
-                                scheme="imex", boundary="linear_extrapolation")
-        spiked = np.abs(fl.evolution_operator_residual(noisy, fwd, drv).field[:, mask]).max()
-        # noise of amplitude a lifts the residual to O(a / dx^2)
-        assert spiked > 50.0 * max(base, 1e-12)
-        assert spiked > 0.5 * 1e-3 / sg.dx ** 2
-
-
 class TestFeedbackExtraction:
     def test_matches_quadratic_feedback(self, benchmark_cps, benchmark_setup):
         sg = fl.SpaceGrid(-5.0, 7.0, 601)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,9 @@ class TestAssumptionChecker:
         ("y_term_modulus_bound", "y_term", lambda t, y: np.where(y < 1.0, np.nan, 0.0),
          (0.0, 0.8754687373539001)),
         ("y_term_modulus_bound", "phi", lambda t: np.where(t < 0.5, np.nan, 1.0), (0.0,)),
+        # numpy itself warns on this one: the checker's verdict must come alone
+        ("z_slope_bounded", "z_slope", fl.parse_expression("0*(1-x)^0.5"),
+         (0.0, 1.2000000000000002)),
     ])
     def test_non_finite_coefficient_fails_its_clause(self, clause, name, coefficient, witness):
         # phi is the checker's argument, not the spec's; a zero y_term lets its clause run
@@ -179,15 +183,20 @@ class TestAssumptionChecker:
         phi = coefficients.pop("phi")
         spec = make_driver(**coefficients)
         fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
-        report = fl.check_driver_assumptions(spec, fwd, fl.SampleGrid.regular(1.0, -4.0, 4.0),
-                                             kappa_candidate=fl.identity_modulus,
-                                             phi_candidate=phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fl.check_driver_assumptions(spec, fwd,
+                                                 fl.SampleGrid.regular(1.0, -4.0, 4.0),
+                                                 kappa_candidate=fl.identity_modulus,
+                                                 phi_candidate=phi)
         verdict = report.clauses[clause]
         assert not verdict.passed
         assert not report.satisfied
         assert verdict.detail == "non-finite value"
         assert verdict.witness == witness
-        assert not np.isfinite((phi if name == "phi" else getattr(spec, name))(*witness))
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite((phi if name == "phi" else getattr(spec, name))(
+                *np.array(witness)))
 
     def test_modulus_clause_violation_witness_reproduces(self):
         # a steep y-nonlinearity against a tiny phi budget must fail

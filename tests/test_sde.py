@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
+from fbsdelab.control import _per_path_costs
 from fbsdelab.errors import DomainError, SimulationError
 from fbsdelab.sde import brownian_increments
 
@@ -74,10 +75,18 @@ class TestSimulate:
         assert np.array_equal(small.dW, large.dW[:10])
 
     def test_driftless_paths_reproduce_increments(self):
-        # X_{k+1} - X_k = dW_k up to float cancellation in the subtraction
-        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 200, seed=6, scheme="euler")
-        np.testing.assert_allclose(np.diff(ens.states, axis=1), ens.dW,
-                                   rtol=0.0, atol=1e-12)
+        # X_{k+1} - X_k = sigma(t_k, X_k) dW_k up to float cancellation in the
+        # subtraction; with mu = 0 the tamed step is plain Euler bit for bit
+        tg = fl.TimeGrid(0, 1, 16)
+        for sigma in (1.0, lambda t, x: 0.5 + 0.2 * np.sin(x)):
+            fwd = fl.ForwardSpec(mu=0.0, sigma=sigma, x0=0.0, horizon=1.0)
+            ens = fl.simulate(fwd, tg, 200, seed=6, scheme="euler")
+            tamed = fl.simulate(fwd, tg, 200, seed=6, scheme="tamed_euler")
+            assert np.array_equal(ens.states, tamed.states)
+            assert np.array_equal(ens.dW, tamed.dW)
+            np.testing.assert_allclose(
+                np.diff(ens.states, axis=1),
+                fwd.sigma(tg.times()[:-1], ens.states[:, :-1]) * ens.dW, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-2 ** 64, 2 ** 64 - 1), st.integers(-2 ** 64, 2 ** 64 - 1))
@@ -151,21 +160,26 @@ class TestSimulate:
 
 class TestControlledSimulate:
     def test_zero_policy_matches_uncontrolled(self, benchmark_cps):
+        # a zero policy reproduces the uncontrolled paths, so its costs do too
         tg = fl.TimeGrid(0, 1, 32)
-        controlled = fl.controlled_simulate(
-            benchmark_cps, fl.ControlPolicy.zero(), tg, 300, seed=21)
+        est = fl.estimate_cost(benchmark_cps, fl.ControlPolicy.zero(), tg, 300, seed=21)
         plain = fl.simulate(benchmark_cps.uncontrolled_forward(), tg, 300, seed=21)
-        assert np.array_equal(controlled.states, plain.states)
+        expected = _per_path_costs(benchmark_cps, fl.ControlPolicy.zero(), plain)
+        assert np.array_equal(est.per_path, expected)
 
     def test_pure_integration(self):
         # A = 0, sigma = 0, B = 1, u = 1 from x0 = 0: the tamed drift is
-        # 1 / (1 + dt) per step, so X_t = t / (1 + dt) exactly
+        # 1 / (1 + dt) per step, so X_t = t / (1 + dt) exactly, and the cost
+        # is sum (X_k^2 + 1) dt + X_T^2
         cps = fl.ControlProblemSpec(A=0.0, B=1.0, sigma=0.0, delta=0.0, target=0.0,
-                                    control_weight=1.0, terminal_weight=0.0,
+                                    control_weight=1.0, terminal_weight=1.0,
                                     x0=0.0, horizon=1.0)
         tg = fl.TimeGrid(0, 1, 64)
-        ens = fl.controlled_simulate(cps, fl.ControlPolicy.constant(1.0), tg, 3, seed=0)
-        np.testing.assert_allclose(ens.states[0], tg.times() / (1.0 + tg.dt), atol=1e-14)
+        est = fl.estimate_cost(cps, fl.ControlPolicy.constant(1.0), tg, 3, seed=0)
+        x = tg.times() / (1.0 + tg.dt)
+        expected = np.sum((x[:-1] ** 2 + 1.0) * tg.dt) + x[-1] ** 2
+        np.testing.assert_allclose(est.per_path, expected, rtol=1e-14)
+        assert est.stderr == 0.0
 
     def test_feedback_cost_matches_quadratic_value(self, benchmark_cps, benchmark_value):
         tg = fl.TimeGrid(0, 1, 128)
