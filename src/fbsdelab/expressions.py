@@ -51,7 +51,7 @@ _FUNC_DERIVS = {
     "tanh": lambda u, fu: 1.0 - fu * fu,
 }
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ class Expr:
         op = self.op
         if op == "num":
             return self.value
-        if op == "var":
-            return t if self.value == "t" else x
+        if op == "var":   # numpy floats, as in arrays: (-0.5) ** 0.5 is NaN, not complex
+            v = t if self.value == "t" else x
+            return np.float64(v) if type(v) in (int, float) else v
         if op == "neg":
             return -self.args[0]._eval(t, x)
         if op in _FUNCS:
@@ -104,9 +105,8 @@ class Expr:
         if op == "num":
             return self.value, 0.0
         if op == "var":
-            if self.value == "t":
-                return t, np.ones_like(np.asarray(t, dtype=float))
-            return x, np.zeros_like(np.asarray(x, dtype=float))
+            v = self._eval(t, x)
+            return v, (np.ones_like if self.value == "t" else np.zeros_like)(np.asarray(v, dtype=float))
         if op == "neg":
             v, d = self.args[0]._dual(t, x)
             return -v, -d
@@ -250,7 +250,7 @@ class _Parser:
                 break
         token = self.text[start:self.pos]
         try:
-            return Expr("num", value=float(token))
+            return Expr("num", value=np.float64(token))
         except ValueError:
             self.pos = start
             self.error(f"bad number {token!r}")

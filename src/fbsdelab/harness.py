@@ -8,6 +8,9 @@ tolerance of 3 * (statistical stderr + discretization estimate); persistent
 disagreement is the experiment's failure signal, echoing the theory's
 uniqueness claim in a falsifiable form.
 
+The Monte Carlo routes share paths: each distinct ensemble is simulated once
+and serves every route's solves (girsanov's only where mu is exactly 0 on it).
+
 Every experiment records its seeds and resolutions and is reproducible bit
 for bit from them.
 """
@@ -15,6 +18,7 @@ for bit from them.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,9 +210,8 @@ def _richer_candidates(basis: BasisSpec) -> list:
 _REPLICATE_OFFSET = 990001
 
 
-def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
-                   seed: int | None = None, basis: BasisSpec | None = None) -> RouteEstimate:
-    """One Monte Carlo route with an explicit error budget.
+def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list) -> list:
+    """Monte Carlo estimates for (route, seed, basis) jobs, in job order.
 
     Statistical error is the one-step stderr of the final averaging.  The
     'discretization' error is the largest shift the estimate takes under
@@ -216,45 +219,61 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
     one-step stderr cannot see), halving the step count, and enriching the
     regression basis.  Taking the max rather than the sum avoids counting
     the same recursion noise in every difference.
+
+    Per seed, the base (seed, full grid), replicate (seed + _REPLICATE_OFFSET)
+    and half-step (seed, half grid) ensembles are each simulated once, serve
+    every job (the base: its base solve, then its richer-basis probe) and are
+    freed before the next exists.  girsanov needs driftless paths: it shares
+    an ensemble where mu is exactly 0 on it, else gets its own with mu = 0.
     """
     fwd = setup.forward
     tgrid = numerics.time_grid(fwd)
-    seed = numerics.seed if seed is None else seed
-    basis = numerics.basis if basis is None else basis
-
-    # girsanov needs driftless paths; with mu = 0 the tamed step is plain Euler
-    sim_fwd = replace(fwd, mu=0.0) if route == "girsanov" else fwd
-
-    def simulate_for(tg: TimeGrid, sd: int):
-        return simulate(sim_fwd, tg, numerics.n_paths, sd)
-
-    def solve(ens, bs: BasisSpec) -> tuple:
-        if route == "girsanov":
-            sol = solve_girsanov(ens, setup.driver, fwd, bs)
-        elif route == "transformed":
-            sol = solve_transformed(ens, setup.driver, bs)
-        else:
-            sol = solve_lsmc(ens, setup.driver, bs)
-        return sol.y0, sol.y0_stderr   # drops Y and Z, each as large as the ensemble
-
-    ens = simulate_for(tgrid, seed)
-    value, stat_err = solve(ens, basis)
-    # the richer-basis probe reuses the base ensemble, which is freed
-    # before the replicate and half-step ensembles exist
-    shifts = []
-    for richer in _richer_candidates(basis):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                shifts.append(abs(value - solve(ens, richer)[0]))
-            break
-        except SolverError:
-            continue
-    del ens
-    shifts.append(abs(value - solve(simulate_for(tgrid, seed + _REPLICATE_OFFSET), basis)[0]))
+    ensembles = [(tgrid, 0), (tgrid, _REPLICATE_OFFSET)]
     if tgrid.n_steps >= 2:
-        half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
-        shifts.append(abs(value - solve(simulate_for(half, seed), basis)[0]))
-    return RouteEstimate(route, value, stat_err, max(shifts))
+        ensembles.append((TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2), 0))
+    solvers = {"transformed": solve_transformed,
+               "girsanov": lambda ens, driver, basis: solve_girsanov(ens, driver, fwd, basis)}
+    found = {}   # job -> [value, stat_err, probe shifts...]
+
+    def y0(ens, route: str, basis: BasisSpec) -> tuple:   # drops Y and Z, ensemble-sized
+        sol = solvers.get(route, solve_lsmc)(ens, setup.driver, basis)
+        return sol.y0, sol.y0_stderr
+
+    def run(ens, job):
+        route, _, basis = job
+        if job in found:   # a probe: the base ensemble came first
+            found[job].append(abs(found[job][0] - y0(ens, route, basis)[0]))
+            return
+        found[job] = list(y0(ens, route, basis))
+        for richer in _richer_candidates(basis):
+            with suppress(SolverError), np.errstate(over="ignore", invalid="ignore"):
+                found[job].append(abs(found[job][0] - y0(ens, route, richer)[0]))
+                break
+
+    for seed in dict.fromkeys(job[1] for job in jobs):
+        for grid, offset in ensembles:
+            pending = list(dict.fromkeys(job for job in jobs if job[1] == seed))
+            while pending:   # twice when girsanov needs its own paths
+                driftless = all(job[0] == "girsanov" for job in pending)
+                ens = simulate(replace(fwd, mu=0.0) if driftless else fwd, grid,
+                               numerics.n_paths, seed + offset)
+                served = [job for job in pending if job[0] != "girsanov"]
+                # mu == 0 at each state stepped from: x + 0 dt + sigma dW, the mu = 0 march
+                if driftless or len(served) < len(pending) and not any(
+                        np.any(fwd.mu(t, x)) for t, x in zip(grid.times()[:-1], ens.states.T)):
+                    served = pending
+                for job in served:
+                    run(ens, job)
+                pending = [job for job in pending if job not in served]
+                del ens   # before the next ensemble exists
+    return [RouteEstimate(job[0], *found[job][:2], max(found[job][2:])) for job in jobs]
+
+
+def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
+                   seed: int | None = None, basis: BasisSpec | None = None) -> RouteEstimate:
+    """One Monte Carlo route with its error budget: the one-job ``_lsmc_estimates``."""
+    job = (route, numerics.seed if seed is None else seed, numerics.basis if basis is None else basis)
+    return _lsmc_estimates(setup, numerics, [job])[0]
 
 
 def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
@@ -299,7 +318,10 @@ def run_feynman_kac_check(
     tgrid = numerics.time_grid(setup.forward)
     if routes is None:
         routes = _applicable_routes(setup, tgrid)
-    estimates = {r: estimate_route(setup, numerics, r) for r in routes}
+    # the other routes, and unknown names' errors, come before any LSMC ensemble
+    estimates = {r: None if r in LSMC_ROUTES else estimate_route(setup, numerics, r) for r in routes}
+    jobs = [(r, numerics.seed, numerics.basis) for r in estimates if r in LSMC_ROUTES]
+    estimates.update((est.route, est) for est in _lsmc_estimates(setup, numerics, jobs))
     if len(estimates) < 2:
         raise DomainError(f"need at least 2 distinct routes to compare, got {list(estimates)}")
     verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
@@ -333,14 +355,10 @@ def run_uniqueness_check(
         raise DomainError("need at least 2 bases")
 
     def collect(num: Numerics):
-        rows = []
-        for route in routes:
-            for basis in basis_list:
-                for seed in seed_list:
-                    est = _lsmc_estimate(setup, num, route, seed=seed, basis=basis)
-                    rows.append((route, basis.label(), int(seed), est.value,
-                                 est.total_err))
-        return rows
+        jobs = [(route, seed, basis)
+                for route in routes for basis in basis_list for seed in seed_list]
+        return [(route, basis.label(), int(seed), est.value, est.total_err)
+                for (route, seed, basis), est in zip(jobs, _lsmc_estimates(setup, num, jobs))]
 
     def band_violation(rows):
         """The pair furthest outside its tolerance, or None."""

@@ -142,7 +142,8 @@ class ControlProblemSpec:
             raise DomainError("control_weight must be positive on [0, horizon]")
 
     def drift(self, t, x):
-        return self.A(t) * x - self.delta * x ** 3
+        # at delta = 0 this skips a float ** 3, milliseconds on 10^5 paths
+        return self.A(t) * x - self.delta * x ** 3 if self.delta else self.A(t) * x
 
     def uncontrolled_forward(self) -> ForwardSpec:
         return ForwardSpec(

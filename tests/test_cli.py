@@ -244,6 +244,18 @@ kind = check_condition
         assert code == 1
         assert "NOT established" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_coefficient_exits_1_with_error_line(self, tmp_path, capsys):
+        # z_quad is NaN for t < 0.5; the PDE evaluates it at Python float times
+        text = (CONFIG_DIR / "heat.cfg").read_text()
+        assert "z_quad = 0\n" in text
+        cfg = tmp_path / "nan_z_quad.cfg"
+        cfg.write_text(text.replace("z_quad = 0\n", "z_quad = (t-0.5)^0.5\n"))
+        code = self.run_main("run", str(cfg), "--out-dir", str(tmp_path / "x"),
+                             "--paths", "2000", "--steps", "16")
+        assert code == 1
+        assert "error: coefficient 'z_quad' produced a non-finite value" in capsys.readouterr().err
+
     def test_sweep_verb_overrides_experiment(self, tmp_path, capsys):
         code = self.run_main("sweep", str(CONFIG_DIR / "lqr_sweep.cfg"),
                              "--out-dir", str(tmp_path / "sweep"))

@@ -40,6 +40,20 @@ def test_exact_time_derivative():
     assert float(p.dt(2.0)) == pytest.approx(12.0, rel=1e-14)
 
 
+def test_scalar_arguments_evaluate_like_arrays():
+    # a negative base under a fractional power is NaN, never complex, whether
+    # the arguments are Python floats, numpy scalars or arrays
+    cases = [("(t-0.5)^0.5", 0.0, 0.0), ("t^x", -0.5, 0.5), ("(0-1)^0.5", 0.0, 0.0)]
+    with np.errstate(invalid="ignore"):
+        for text, t, x in cases:
+            e = parse_expression(text)
+            for args in [(t, x), (np.float64(t), np.float64(x)), (np.array([t]), np.array([x]))]:
+                value = e(*args)
+                assert np.isrealobj(value) and np.all(np.isnan(value)), (text, args)
+        dt = parse_expression("(t-0.5)^0.5").dt(0.0, 0.0)
+        assert np.isrealobj(dt) and np.isnan(dt)
+
+
 def test_time_derivative_helper_falls_back_to_differences():
     fn = lambda t: math.exp(2.0 * t)
     assert time_derivative(fn, 0.5, span=1.0) == pytest.approx(2 * math.exp(1.0), rel=1e-7)

@@ -1,10 +1,52 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fbsdelab as fl
 import fbsdelab.harness as harness
-from fbsdelab.errors import DomainError
+from fbsdelab.errors import DomainError, SolverError
 from fbsdelab.harness import _REPLICATE_OFFSET, _lsmc_estimate, _richer_candidates
+
+
+def count_simulations(monkeypatch) -> list:
+    """Record (forward, grid, seed) of every ensemble the harness simulates."""
+    calls = []
+
+    def counting(fwd, grid, n_paths, seed, **kw):
+        calls.append((fwd, grid, seed))
+        return fl.simulate(fwd, grid, n_paths, seed, **kw)
+
+    monkeypatch.setattr(harness, "simulate", counting)
+    return calls
+
+
+def per_route_reference(setup, num, route, seed, basis):
+    """The estimate computed route by route, every probe on freshly simulated paths."""
+    fwd = setup.forward
+    sim_fwd = replace(fwd, mu=0.0) if route == "girsanov" else fwd
+
+    def y0(steps, sd, bs):
+        ens = fl.simulate(sim_fwd, fl.TimeGrid(0.0, fwd.horizon, steps), num.n_paths, sd)
+        if route == "girsanov":
+            sol = fl.solve_girsanov(ens, setup.driver, fwd, bs)
+        elif route == "transformed":
+            sol = fl.solve_transformed(ens, setup.driver, bs)
+        else:
+            sol = fl.solve_lsmc(ens, setup.driver, bs)
+        return sol.y0, sol.y0_stderr
+
+    value, stat_err = y0(num.n_steps, seed, basis)
+    shifts = [abs(value - y0(num.n_steps, seed + _REPLICATE_OFFSET, basis)[0]),
+              abs(value - y0(num.n_steps // 2, seed, basis)[0])]
+    for richer in _richer_candidates(basis):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifts.append(abs(value - y0(num.n_steps, seed, richer)[0]))
+            break
+        except SolverError:
+            continue
+    return harness.RouteEstimate(route, value, stat_err, max(shifts))
 
 
 def light_numerics(**kw):
@@ -49,10 +91,13 @@ class TestFeynmanKac:
         assert set(res.routes) == {"riccati", "pde"}
         assert len(res.verdicts) == 1
 
-    def test_unknown_route_rejected(self, benchmark_setup):
-        with pytest.raises(DomainError):
-            fl.run_feynman_kac_check(benchmark_setup, light_numerics(),
-                                     routes=["quantum"])
+    def test_unknown_route_rejected(self, benchmark_setup, monkeypatch):
+        # before any route is estimated: no ensemble is simulated first
+        calls = count_simulations(monkeypatch)
+        for routes in (["quantum"], ["direct", "quantum"]):
+            with pytest.raises(DomainError, match="unknown route 'quantum'"):
+                fl.run_feynman_kac_check(benchmark_setup, light_numerics(), routes=routes)
+        assert calls == []
 
     def test_riccati_route_requires_unperturbed_control(self, perturbed_setup):
         with pytest.raises(DomainError):
@@ -96,6 +141,73 @@ class TestLsmcEstimate:
                   abs(base - y0(8, num.basis, num.seed))]
         assert est.value == base
         assert est.disc_err == max(shifts)
+
+
+class TestSharedEnsembles:
+    num = light_numerics(n_paths=4000, n_steps=16, n_space=101, pde_steps=50)
+
+    def test_feynman_kac_simulates_each_ensemble_once(self, benchmark_setup, monkeypatch):
+        # base, replicate and half step serve all three LSMC routes; the drift
+        # vanishes on the paths, so girsanov shares them
+        calls = count_simulations(monkeypatch)
+        res = fl.run_feynman_kac_check(benchmark_setup, self.num)
+        assert set(harness.LSMC_ROUTES) <= set(res.routes)
+        assert [(grid.n_steps, seed) for _, grid, seed in calls] == [
+            (16, 101), (16, 101 + _REPLICATE_OFFSET), (8, 101)]
+        assert all(fwd is benchmark_setup.forward for fwd, _, _ in calls)
+
+    def test_drifting_forward_gives_girsanov_its_own_ensembles(self, perturbed_setup,
+                                                               monkeypatch):
+        calls = count_simulations(monkeypatch)
+        fl.run_feynman_kac_check(perturbed_setup, self.num, routes=["direct", "girsanov"])
+        assert len(calls) == 6
+        shared = [c for c in calls if c[0] is perturbed_setup.forward]
+        own = [c for c in calls if c[0] is not perturbed_setup.forward]
+        assert [c[1:] for c in shared] == [c[1:] for c in own]
+        assert all(fwd.mu(0.5, np.linspace(-2.0, 2.0, 5)).tolist() == [0.0] * 5
+                   for fwd, _, _ in own)
+
+    def test_shared_girsanov_ensemble_is_the_driftless_one(self, benchmark_setup,
+                                                           monkeypatch):
+        seen = []
+
+        def recording_girsanov(ens, *args):
+            seen.append(ens)
+            return fl.solve_girsanov(ens, *args)
+
+        monkeypatch.setattr(harness, "solve_girsanov", recording_girsanov)
+        fl.run_feynman_kac_check(benchmark_setup, self.num,
+                                 routes=["direct", "girsanov"])
+        driftless = replace(benchmark_setup.forward, mu=0.0)
+        assert len(seen) == 4
+        for ens in seen:
+            fresh = fl.simulate(driftless, ens.grid, self.num.n_paths, ens.seed)
+            assert np.array_equal(ens.states, fresh.states)
+            assert np.array_equal(ens.dW, fresh.dW)
+
+    @pytest.mark.parametrize("setup_name", ["benchmark_setup", "perturbed_setup"])
+    def test_estimates_equal_route_by_route_solves(self, setup_name, request):
+        setup = request.getfixturevalue(setup_name)
+        res = fl.run_feynman_kac_check(setup, self.num, routes=["pde", *harness.LSMC_ROUTES])
+        for route in harness.LSMC_ROUTES:
+            assert res.routes[route] == per_route_reference(
+                setup, self.num, route, self.num.seed, self.num.basis)
+
+    def test_uniqueness_rows_keep_order_and_values(self, benchmark_setup, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        seeds = [7, 8, 9]
+        bases = [fl.BasisSpec("polynomial", 2), fl.BasisSpec("piecewise_linear", n_knots=6)]
+        res = fl.run_uniqueness_check(benchmark_setup, self.num, seeds, bases)
+        # three ensembles per seed, again on the doubled-path rerun
+        assert len(calls) == 9 * (2 if res.meta["doubled"] else 1)
+        num = replace(self.num, n_paths=2 * self.num.n_paths) if res.meta["doubled"] else self.num
+        expected = []
+        for route in harness.LSMC_ROUTES:
+            for basis in bases:
+                for seed in seeds:
+                    est = per_route_reference(benchmark_setup, num, route, seed, basis)
+                    expected.append([route, basis.label(), seed, est.value, est.total_err])
+        assert res.table == expected
 
 
 class TestUniqueness:
