@@ -20,9 +20,11 @@ the same feature matrix F, filled in place (powers by recurrence for the
 polynomial basis).  One fit serves both targets: ridge-stabilized normal
 equations F^T F c = F^T targets without features that fewer than
 MIN_SUPPORT samples touch, after a condition check on the diagonally
-normalized Gram.  All path arrays are column-major, so each step's column is
-contiguous.  The basis is scaled to the ensemble's state range, so no
-sample ever falls outside it.
+normalized Gram.  That design depends only on the paths and the basis, so it
+is computed once per (ensemble, basis, step), memoised on the ensemble and
+shared by every solve on it, bit for bit.  All path arrays are column-major,
+so each step's column is contiguous.  The basis is scaled to the ensemble's
+state range, so no sample ever falls outside it.
 """
 
 from __future__ import annotations
@@ -110,17 +112,13 @@ class _Basis:
         return out
 
 
-def _fit(features: np.ndarray, targets: np.ndarray, step: int):
-    """Ridge-stabilized normal equations; returns (fitted, coefficients).
+def _design(features: np.ndarray) -> tuple:
+    """A step's regression design: (support mask, ridged normal matrix, condition).
 
-    ``targets`` is (n, m), m regressions sharing the feature matrix.
-    Features with almost no sample support (hat functions whose knot
-    interval the current states barely visit) are dropped for the step: a
-    near-empty feature's coefficient is pure noise, and through a
-    quadratic-in-z driver one wild fitted value can destabilize the whole
-    recursion.  Rank deficiency of the supported block (diagonally
-    normalized condition number beyond 1e12) is an error: the basis is too
-    rich for the paths.
+    Features with almost no sample support (hats whose knot interval the
+    states barely visit) are dropped for the step: such a coefficient is pure
+    noise, and through a quadratic-in-z driver one wild fitted value can
+    destabilize the whole recursion.
     """
     n = features.shape[0]
     gram = features.T @ features / n
@@ -130,14 +128,23 @@ def _fit(features: np.ndarray, targets: np.ndarray, step: int):
     sub = gram[np.ix_(support, support)]
     d = np.sqrt(diag[support])
     cond = np.linalg.cond(sub / d / d[:, None])
+    return support, sub + RIDGE * np.eye(sub.shape[0]), cond
+
+
+def _fit(features: np.ndarray, targets: np.ndarray, design: tuple, step: int):
+    """Solve ``design``'s normal equations for ``targets`` (n, m); returns (fitted, coefficients).
+
+    A condition number beyond 1e12 is an error: the basis is too rich for the paths.
+    """
+    support, normal, cond = design
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SolverError(
             f"regression at step {step} is rank-deficient (condition {cond:.3e}); "
             f"use fewer basis functions or more paths", step=step)
-    rhs = features.T @ targets / n
+    rhs = features.T @ targets / features.shape[0]
     if not support.all():
         rhs = rhs[support]
-    sub_coef = np.linalg.solve(sub + RIDGE * np.eye(sub.shape[0]), rhs)
+    sub_coef = np.linalg.solve(normal, rhs)
     coef = np.zeros((features.shape[1], targets.shape[1]))
     coef[support] = sub_coef
     return features @ coef, coef
@@ -177,6 +184,7 @@ class BackwardSolution:
     y0_stderr: float
     clamp_counts: np.ndarray
     driver: DriverSpec = field(repr=False, default=None)
+    seed: int | None = None   # the ensemble's, checked by martingale_residual
 
     def __post_init__(self):
         for name in ("Y", "Z", "clamp_counts"):
@@ -218,7 +226,13 @@ def _backward_recursion(
     n_paths, n_steps = ens.dW.shape
     dt = ens.grid.dt
     times = ens.grid.times()
-    basis = _Basis(basis_spec, float(ens.states.min()), float(ens.states.max()))
+    if "states" not in ens._memo:   # the basis domain and the steps with all paths at one state
+        lo, hi = ens.states.min(axis=0), ens.states.max(axis=0)
+        ens._memo["states"] = float(lo.min()), float(hi.max()), [
+            float(b - a) <= 1e-13 * max(1.0, abs(float(x.mean())))
+            for a, b, x in zip(lo, hi, ens.states.T)]
+    lo, hi, degenerate = ens._memo["states"]
+    basis = _Basis(basis_spec, lo, hi)
 
     V = np.empty((n_paths, n_steps + 1), order="F")
     Zc = np.zeros((n_paths, n_steps), order="F")
@@ -232,14 +246,16 @@ def _backward_recursion(
         t = float(times[k])
         x = ens.states[:, k]
         v_next = V[:, k + 1]
-        degenerate = float(x.max() - x.min()) <= 1e-13 * max(1.0, abs(float(x.mean())))
-        if degenerate:
+        if degenerate[k]:
             zk = np.full(n_paths, float(np.mean(v_next * ens.dW[:, k])) / dt)
             m = np.full(n_paths, float(v_next.mean()))
         else:
             targets[:, 0] = v_next
             np.multiply(v_next, ens.dW[:, k], out=targets[:, 1])
-            fitted, coef = _fit(basis.features(x), targets, step=k)
+            feats = basis.features(x)
+            if (basis_spec, k) not in ens._memo:
+                ens._memo[basis_spec, k] = _design(feats)
+            fitted, coef = _fit(feats, targets, ens._memo[basis_spec, k], step=k)
             m = fitted[:, 0]
             zk = fitted[:, 1] / dt
             y_coefs[k] = coef[:, 0]
@@ -297,7 +313,7 @@ def solve_lsmc(
         grid=ens.grid, Y=V, Z=Zc, route=route,
         scheme="one_step_implicit" if spec.depends_on_y else "explicit", basis=basis,
         y_coefficients=y_coefs, z_coefficients=z_coefs,
-        y0=y0, y0_stderr=se, clamp_counts=clamps, driver=spec)
+        y0=y0, y0_stderr=se, clamp_counts=clamps, driver=spec, seed=ens.seed)
 
 
 def solve_transformed(
@@ -344,16 +360,17 @@ def solve_transformed(
     U, Lam, y_coefs, z_coefs, clamps, se_u, u0 = _backward_recursion(
         ens, u_terminal, u_driver, basis, implicit=True, clamp=(U_FLOOR, 1.0))
 
-    Hrow = H[np.newaxis, :]
-    Y = M - np.log(U) / Hrow
-    Y[:, -1] = g_vals   # terminal applied pointwise, exact
-    Z = -Lam / (Hrow[:, :-1] * U[:, :-1])
+    np.negative(Lam, out=Lam)   # in place: Z = -Lam / (H U) into Lam, Y = M - log(U) / H into U
+    for k in range(Lam.shape[1]):
+        Lam[:, k] /= H[k] * U[:, k]
+    np.subtract(M, np.divide(np.log(U, out=U), H, out=U), out=U)
+    U[:, -1] = g_vals   # terminal applied pointwise, exact
     y0 = float(M - np.log(u0) / H[0])
     y0_stderr = float(se_u / (H[0] * u0))
     return BackwardSolution(
-        grid=ens.grid, Y=Y, Z=Z, route="transformed", scheme="one_step_implicit", basis=basis,
+        grid=ens.grid, Y=U, Z=Lam, route="transformed", scheme="one_step_implicit", basis=basis,
         y_coefficients=y_coefs, z_coefficients=z_coefs,
-        y0=y0, y0_stderr=y0_stderr, clamp_counts=clamps, driver=spec)
+        y0=y0, y0_stderr=y0_stderr, clamp_counts=clamps, driver=spec, seed=ens.seed)
 
 
 def solve_girsanov(
@@ -418,8 +435,8 @@ def martingale_residual(
     """
     if spec is None:
         spec = sol.driver
-    # the terminal row pins the ensemble's paths, the grid its times
-    if (ens.states.shape != sol.Y.shape or ens.grid != sol.grid
+    # the seed and the terminal row pin the ensemble's paths, the grid its times
+    if (ens.states.shape != sol.Y.shape or ens.grid != sol.grid or ens.seed != sol.seed
             or not np.array_equal(sol.Y[:, -1], _terminal_values(spec, ens))):
         raise DomainError("solution and ensemble are not aligned")
     dt = ens.grid.dt

@@ -231,12 +231,15 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list) -> list
     ensembles = [(tgrid, 0), (tgrid, _REPLICATE_OFFSET)]
     if tgrid.n_steps >= 2:
         ensembles.append((TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2), 0))
-    solvers = {"transformed": solve_transformed,
+    solvers = {"direct": solve_lsmc, "transformed": solve_transformed,
                "girsanov": lambda ens, driver, basis: solve_girsanov(ens, driver, fwd, basis)}
+    for route, _, _ in jobs:   # before any ensemble is simulated
+        if route not in solvers:
+            raise DomainError(f"unknown Monte Carlo route {route!r}; expected one of {LSMC_ROUTES}")
     found = {}   # job -> [value, stat_err, probe shifts...]
 
     def y0(ens, route: str, basis: BasisSpec) -> tuple:   # drops Y and Z, ensemble-sized
-        sol = solvers.get(route, solve_lsmc)(ens, setup.driver, basis)
+        sol = solvers[route](ens, setup.driver, basis)
         return sol.y0, sol.y0_stderr
 
     def run(ens, job):

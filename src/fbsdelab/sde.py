@@ -12,7 +12,7 @@ can explode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class PathEnsemble:
     dW:     (n_paths, n_steps)
     Both are column-major (Fortran order), so each step's column [:, k] is
     contiguous.  Arrays are frozen (writeable=False); share freely across threads.
+    ``_memo`` holds what the backward solvers derive from the paths alone (the
+    state range, each (basis, step) regression design); it is in neither repr
+    nor == and is freed with the ensemble.
     """
 
     grid: TimeGrid
@@ -65,6 +68,7 @@ class PathEnsemble:
     dW: np.ndarray
     seed: int
     scheme: str = "tamed_euler"
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("states", "dW"):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import fbsdelab as fl
-from fbsdelab.bsde import MIN_SUPPORT, _Basis, _fit
+import fbsdelab.bsde as bsde
+from fbsdelab.bsde import MIN_SUPPORT, _Basis, _design, _fit
 from fbsdelab.errors import DomainError, SolverError
 
 
@@ -50,7 +51,7 @@ class TestBasis:
         feats = _Basis(fl.BasisSpec("piecewise_linear", n_knots=5), 0.0, 1.0).features(x)
         assert np.count_nonzero(feats[:, -1]) == thin
         targets = np.asfortranarray(np.column_stack([np.sin(3 * x), x ** 2]))
-        fitted, coef = _fit(feats, targets, step=0)
+        fitted, coef = _fit(feats, targets, _design(feats), step=0)
         assert np.all(coef[-1] == 0.0)
         assert np.all(coef[:-1] != 0.0)
         assert np.all(np.isfinite(fitted))
@@ -158,6 +159,62 @@ def test_non_finite_terminal_rejected(solve):
     spec = driver(z_quad=1.0, terminal=lambda x: np.where(x > 1.0, np.nan, x ** 2))
     with pytest.raises(DomainError, match="terminal values are not finite"):
         solve(ens, spec, fl.BasisSpec("polynomial", 2))
+
+
+class TestDesignMemo:
+    """Solves on one ensemble share its per-step regression designs."""
+
+    @staticmethod
+    def fresh(ens):
+        return fl.PathEnsemble(ens.grid, ens.states, ens.dW, ens.seed)
+
+    @pytest.mark.parametrize("basis", [fl.BasisSpec("polynomial", 2),
+                                       fl.BasisSpec("piecewise_linear", n_knots=12)])
+    @pytest.mark.parametrize("route", ["direct", "transformed", "girsanov"])
+    def test_memo_hits_equal_fresh_solves(self, route, basis, monkeypatch):
+        fwd = brownian()
+        spec = driver(z_quad=0.5, terminal=lambda x: 1.0 + np.tanh(x))
+        solve = {"direct": fl.solve_lsmc, "transformed": fl.solve_transformed,
+                 "girsanov": lambda e, s, b: fl.solve_girsanov(e, s, fwd, b)}[route]
+        ens = fl.simulate(fwd, fl.TimeGrid(0, 1, 8), 4000, seed=11)
+        fl.solve_lsmc(ens, spec, basis)   # another route fills the memo
+        designs = []
+        monkeypatch.setattr(bsde, "_design", lambda f: designs.append(1) or _design(f))
+        hit = solve(ens, spec, basis)
+        assert designs == []
+        ref = solve(self.fresh(ens), spec, basis)
+        assert len(designs) == ens.n_steps - 1   # step 0 has every path at x0
+        for name in ("Y", "Z", "clamp_counts"):
+            assert np.array_equal(getattr(hit, name), getattr(ref, name)), name
+        for name in ("y_coefficients", "z_coefficients"):
+            for a, b in zip(getattr(hit, name), getattr(ref, name), strict=True):
+                assert np.array_equal(a, b), name
+        assert (hit.y0, hit.y0_stderr) == (ref.y0, ref.y0_stderr)
+
+    def test_rank_deficiency_raised_afresh_on_every_solve(self):
+        # the rank-deficient design is memoised; its error is not
+        grid = fl.TimeGrid(0, 1, 2)
+        levels = np.array([-1.0, 0.0, 1.0])
+        states = np.zeros((60, 3))
+        states[:, 1] = np.repeat(levels, 20)
+        states[:, 2] = np.tile(levels, 20)
+        ens = fl.PathEnsemble(grid=grid, states=states, dW=np.zeros((60, 2)), seed=0)
+        errors = []
+        for target in (ens, ens, self.fresh(ens)):
+            with pytest.raises(SolverError) as info:
+                fl.solve_lsmc(target, driver(terminal=lambda x: x),
+                              fl.BasisSpec("polynomial", 8))
+            errors.append(info.value)
+        assert len({str(e) for e in errors}) == 1 and {e.step for e in errors} == {1}
+        assert errors[0] is not errors[1]
+
+    def test_memo_in_neither_repr_nor_eq(self):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 500, seed=3)
+        fl.solve_lsmc(ens, driver(terminal=lambda x: x), fl.BasisSpec("polynomial", 2))
+        fresh = self.fresh(ens)
+        assert ens._memo and not fresh._memo
+        assert ens == fresh
+        assert repr(ens) == repr(fresh) and "_memo" not in repr(ens)
 
 
 class TestSolveTransformed:
@@ -314,6 +371,16 @@ class TestMartingaleResidual:
         assert set(rep.flagged_steps) <= {j - 1, j}
         assert rep.residual[j] == pytest.approx(-0.1, abs=5e-3)
         assert rep.residual[j - 1] == pytest.approx(0.1, abs=5e-3)
+
+    def test_alignment_checks_the_seed(self):
+        # a constant terminal gives the same terminal row on every ensemble
+        grid = fl.TimeGrid(0, 1, 16)
+        ens = fl.simulate(brownian(), grid, 2000, seed=1)
+        sol = fl.solve_lsmc(ens, driver(terminal=1.0), fl.BasisSpec("polynomial", 2))
+        assert fl.martingale_residual(sol, None, ens).ok
+        with pytest.raises(DomainError, match="not aligned"):
+            fl.martingale_residual(sol, None, fl.simulate(brownian(), grid, 2000, seed=2))
+        assert sol.seed == 1
 
     def test_alignment_check(self, benchmark_direct_solution):
         other = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 100, seed=0)

@@ -237,6 +237,16 @@ class TestUniqueness:
         assert len(values) == 5 * 2 * 3
         assert max(values) - min(values) <= 0.02 * benchmark_value
 
+    def test_unknown_route_rejected_before_any_ensemble(self, benchmark_setup, monkeypatch):
+        # a non-LSMC name must not run as direct and count as one more row
+        calls = count_simulations(monkeypatch)
+        bases = [fl.BasisSpec("polynomial", 2), fl.BasisSpec("polynomial", 3)]
+        for routes in (("quantum", "direct"), ("direct", "pde")):
+            with pytest.raises(DomainError, match="unknown Monte Carlo route"):
+                fl.run_uniqueness_check(benchmark_setup, light_numerics(), [1, 2, 3],
+                                        bases, routes=routes)
+        assert calls == []
+
     def test_input_requirements(self, benchmark_setup):
         with pytest.raises(DomainError):
             fl.run_uniqueness_check(benchmark_setup, light_numerics(),
