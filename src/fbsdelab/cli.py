@@ -25,7 +25,7 @@ import numpy as np
 from .bsde import BasisSpec
 from .errors import ConfigError, DomainError, FbsdeLabError
 from .expressions import ExpressionError, parse_expression
-from .harness import (ROUTES, Numerics, ProblemSetup, run_delta_sweep,
+from .harness import (LSMC_ROUTES, ROUTES, Numerics, ProblemSetup, run_delta_sweep,
                       run_feynman_kac_check, run_uniqueness_check)
 from .moduli import LogPowerModulus, identity_modulus
 from .pde import PDE_SCHEMES
@@ -290,6 +290,10 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     if experiment == "feynman_kac" and routes is not None and len(set(routes)) < 2:
         errs.add(f"experiment.routes: feynman_kac compares at least 2 distinct routes, "
                  f"got {routes}", routes_line)
+    if experiment == "uniqueness" and routes is not None and (
+            not routes or len(set(routes)) < len(routes) or not set(routes) <= set(LSMC_ROUTES)):
+        errs.add(f"experiment.routes: uniqueness takes distinct Monte Carlo routes "
+                 f"from {LSMC_ROUTES}, got {routes}", routes_line)
     if experiment == "uniqueness" and len(seeds) < 3:
         errs.add(f"experiment.seeds: uniqueness needs at least 3 seeds, got {seeds}")
     if experiment == "uniqueness" and len(bases) < 2:
@@ -365,7 +369,8 @@ def run(config: RunConfig) -> int:
         result = run_delta_sweep(config.control, config.numerics, config.deltas)
     elif config.experiment == "uniqueness":
         result = run_uniqueness_check(config.setup, config.numerics,
-                                      seed_list=config.seeds, basis_list=config.bases)
+                                      seed_list=config.seeds, basis_list=config.bases,
+                                      routes=config.routes or LSMC_ROUTES)
     else:
         result = run_feynman_kac_check(config.setup, config.numerics, routes=config.routes)
     result.write(config.out_dir)

@@ -12,9 +12,8 @@ reproducible record.  The grammar is deliberately small:
     FUNC    := exp | ln | sin | cos | tanh
 
 ``**`` is accepted as a synonym for ``^``.  Evaluation is vectorized over
-numpy arrays.  Time derivatives are exact: every node propagates a dual
-number (value, d/dt), which the backward solvers use where a coefficient's
-time slope is needed.
+numpy arrays.  A coefficient's time slope comes from ``time_derivative``,
+which differences any function of time, expression or not.
 """
 
 from __future__ import annotations
@@ -40,15 +39,6 @@ _FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
     "tanh": np.tanh,
-}
-
-# d/du of each primitive, expressed in terms of u and f(u)
-_FUNC_DERIVS = {
-    "exp": lambda u, fu: fu,
-    "ln": lambda u, fu: 1.0 / u,
-    "sin": lambda u, fu: np.cos(u),
-    "cos": lambda u, fu: -np.sin(u),
-    "tanh": lambda u, fu: 1.0 - fu * fu,
 }
 
 _CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
@@ -96,42 +86,6 @@ class Expr:
             return a ** b
         raise AssertionError(f"unknown op {op!r}")
 
-    def dt(self, t=0.0, x=0.0):
-        """Exact d/dt at (t, x) via dual-number propagation."""
-        return self._dual(t, x)[1]
-
-    def _dual(self, t, x):
-        op = self.op
-        if op == "num":
-            return self.value, 0.0
-        if op == "var":
-            v = self._eval(t, x)
-            return v, (np.ones_like if self.value == "t" else np.zeros_like)(np.asarray(v, dtype=float))
-        if op == "neg":
-            v, d = self.args[0]._dual(t, x)
-            return -v, -d
-        if op in _FUNCS:
-            u, du = self.args[0]._dual(t, x)
-            fu = _FUNCS[op](u)
-            return fu, _FUNC_DERIVS[op](u, fu) * du
-        a, da = self.args[0]._dual(t, x)
-        b, db = self.args[1]._dual(t, x)
-        if op == "+":
-            return a + b, da + db
-        if op == "-":
-            return a - b, da - db
-        if op == "*":
-            return a * b, da * b + a * db
-        if op == "/":
-            return a / b, (da * b - a * db) / (b * b)
-        if op == "^":
-            v = a ** b
-            # general power rule; avoid log(a) when the exponent is constant
-            if _is_constant(self.args[1]):
-                return v, b * a ** (b - 1.0) * da
-            return v, v * (db * np.log(a) + b * da / a)
-        raise AssertionError(f"unknown op {op!r}")
-
     def uses(self, name: str) -> bool:
         if self.op == "var":
             return self.value == name
@@ -139,14 +93,6 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self.source!r})"
-
-
-def _is_constant(node: Expr) -> bool:
-    if node.op == "num":
-        return True
-    if node.op == "var":
-        return False
-    return all(_is_constant(a) for a in node.args)
 
 
 class _Parser:
@@ -283,14 +229,11 @@ def parse_expression(text: str) -> Expr:
 
 
 def time_derivative(fn, t, span: float = 1.0):
-    """d/dt of a scalar function of time.
+    """d/dt of a scalar function of time by central differences.
 
-    Exact when ``fn`` is an expression tree (or anything exposing ``.dt``);
-    central finite differences otherwise, falling back to one-sided steps
-    at the ends of [0, span].
+    The step is 1e-6 relative (absolute below |t| = 1); at the ends of
+    [0, span] the difference is one-sided.
     """
-    if hasattr(fn, "dt"):
-        return fn.dt(t, 0.0)
     h = 1e-6 * max(1.0, abs(t))
     lo, hi = t - h, t + h
     if lo < 0.0:

@@ -356,6 +356,10 @@ def run_uniqueness_check(
         raise DomainError("need at least 3 seeds")
     if len(basis_list) < 2:
         raise DomainError("need at least 2 bases")
+    if not routes:
+        raise DomainError("need at least 1 route, got an empty route list")
+    if len(set(routes)) < len(routes):   # a repeat would count as one more independent row
+        raise DomainError(f"routes must be distinct, got {list(routes)}")
 
     def collect(num: Numerics):
         jobs = [(route, seed, basis)

@@ -27,8 +27,7 @@ def _full_field(c) -> Callable:
 
     The wrapped coefficient returns an array of the broadcast shape of its
     arguments (a numpy scalar when they are all scalars), so no caller patches
-    shapes.  The spec constructors apply it once; it is idempotent, and it
-    keeps an expression tree's exact ``dt`` reachable for ``time_derivative``.
+    shapes.  The spec constructors apply it once, and it is idempotent.
     """
     if getattr(c, "full_shape", False):
         return c
@@ -46,8 +45,6 @@ def _full_field(c) -> Callable:
         return out if shape else out[()]
 
     full.full_shape = True
-    if hasattr(c, "dt"):
-        full.dt = c.dt
     return full
 
 

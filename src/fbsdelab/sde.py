@@ -67,7 +67,6 @@ class PathEnsemble:
     states: np.ndarray
     dW: np.ndarray
     seed: int
-    scheme: str = "tamed_euler"
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -140,5 +139,5 @@ def simulate(
     """Simulate the forward diffusion; reproducible bit for bit per (seed, grid, n_paths, scheme)."""
     dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
     states = _march(fwd, grid, dW, scheme)
-    return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed, scheme=scheme)
+    return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed)
 

@@ -187,6 +187,12 @@ class TestMain:
          "experiment.seeds: uniqueness needs at least 3 seeds"),
         ("lqr_uniqueness.cfg", "bases = polynomial:4,piecewise_linear:10",
          "bases = polynomial:4", "experiment.bases: uniqueness needs at least 2 bases"),
+        ("lqr_uniqueness.cfg", "seeds = 1,2,3,4,5", "seeds = 1,2,3,4,5\nroutes = direct,pde",
+         "experiment.routes: uniqueness takes distinct Monte Carlo routes"),
+        ("lqr_uniqueness.cfg", "seeds = 1,2,3,4,5", "seeds = 1,2,3,4,5\nroutes = direct,direct",
+         "experiment.routes: uniqueness takes distinct Monte Carlo routes"),
+        ("lqr_uniqueness.cfg", "seeds = 1,2,3,4,5", "seeds = 1,2,3,4,5\nroutes =",
+         "experiment.routes: uniqueness takes distinct Monte Carlo routes"),
         ("lqr_sweep.cfg", "deltas = 0,0.05,0.1", "deltas =",
          "experiment.deltas: delta_sweep needs at least one delta"),
     ])
@@ -199,6 +205,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and message in err
+
+    def test_uniqueness_runs_only_the_configured_routes(self, tmp_path, capsys):
+        # z_quad = 0 here, so a transformed row would end the run with an error
+        text = (CONFIG_DIR / "heat.cfg").read_text()
+        old = "kind = feynman_kac\nroutes = pde,direct"
+        assert old in text
+        path = tmp_path / "u.cfg"
+        path.write_text(text.replace(old, "kind = uniqueness\nroutes = direct\nseeds = 1,2,3\n"
+                                          "bases = polynomial:2,polynomial:3"))
+        code = self.run_main("run", str(path), "--out-dir", str(tmp_path / "u"),
+                             "--paths", "2000", "--steps", "16")
+        out = capsys.readouterr().out
+        assert code == 0 and "single_band: PASS" in out and "# routes = ['direct']" in out
+        rows = (tmp_path / "u" / "table.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.startswith("direct,") for row in rows)
 
     def test_verb_picks_the_rules_of_its_experiment(self, tmp_path):
         # two seeds are too few for uniqueness, not for the condition check the verb runs

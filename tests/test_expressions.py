@@ -30,16 +30,6 @@ def test_vectorized_evaluation():
     np.testing.assert_allclose(e(0.5, x), x ** 2 + 0.5)
 
 
-def test_exact_time_derivative():
-    e = parse_expression("exp(2*t) + x*cos(t)")
-    t, x = 0.7, 1.5
-    expected = 2.0 * math.exp(2 * t) - x * math.sin(t)
-    assert float(e.dt(t, x)) == pytest.approx(expected, rel=1e-14)
-    # power with constant exponent avoids log(a) at a <= 0
-    p = parse_expression("t^3")
-    assert float(p.dt(2.0)) == pytest.approx(12.0, rel=1e-14)
-
-
 def test_scalar_arguments_evaluate_like_arrays():
     # a negative base under a fractional power is NaN, never complex, whether
     # the arguments are Python floats, numpy scalars or arrays
@@ -50,8 +40,6 @@ def test_scalar_arguments_evaluate_like_arrays():
             for args in [(t, x), (np.float64(t), np.float64(x)), (np.array([t]), np.array([x]))]:
                 value = e(*args)
                 assert np.isrealobj(value) and np.all(np.isnan(value)), (text, args)
-        dt = parse_expression("(t-0.5)^0.5").dt(0.0, 0.0)
-        assert np.isrealobj(dt) and np.isnan(dt)
 
 
 def test_time_derivative_helper_falls_back_to_differences():
@@ -60,9 +48,11 @@ def test_time_derivative_helper_falls_back_to_differences():
     # one-sided at the ends of the span
     assert time_derivative(fn, 0.0, span=1.0) == pytest.approx(2.0, rel=1e-5)
     assert time_derivative(fn, 1.0, span=1.0) == pytest.approx(2 * math.exp(2.0), rel=1e-5)
-    # exact path for expression trees
+    # an expression tree takes the same differences
     e = parse_expression("exp(2*t)")
-    assert time_derivative(e, 0.5, span=1.0) == pytest.approx(2 * math.exp(1.0), rel=1e-14)
+    assert time_derivative(e, 0.5, span=1.0) == pytest.approx(2 * math.exp(1.0), rel=1e-8)
+    assert time_derivative(e, 0.0, span=1.0) == pytest.approx(2.0, rel=1e-5)
+    assert time_derivative(e, 1.0, span=1.0) == pytest.approx(2 * math.exp(2.0), rel=1e-5)
 
 
 @pytest.mark.parametrize("bad, column", [

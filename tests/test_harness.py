@@ -247,6 +247,23 @@ class TestUniqueness:
                                         bases, routes=routes)
         assert calls == []
 
+    @pytest.mark.parametrize("routes, message", [
+        ((), "empty route list"),
+        (("direct", "direct"), "routes must be distinct"),
+    ])
+    def test_empty_or_repeated_routes_rejected_before_any_ensemble(self, monkeypatch,
+                                                                   routes, message):
+        calls = count_simulations(monkeypatch)
+        fwd = fl.ForwardSpec(mu=0.0, sigma=0.0, x0=1.0, horizon=1.0)
+        drv = fl.DriverSpec(source=0.0, z_quad=0.0, terminal=2.0)
+        setup = fl.ProblemSetup(label="const", forward=fwd, driver=drv)
+        with pytest.raises(DomainError, match=message):
+            fl.run_uniqueness_check(
+                setup, light_numerics(n_paths=64), seed_list=[1, 2, 3],
+                basis_list=[fl.BasisSpec("polynomial", 1), fl.BasisSpec("polynomial", 2)],
+                routes=routes)
+        assert calls == []
+
     def test_input_requirements(self, benchmark_setup):
         with pytest.raises(DomainError):
             fl.run_uniqueness_check(benchmark_setup, light_numerics(),
