@@ -10,9 +10,9 @@ Three routes estimate the same value process on a simulated ensemble:
   driftless paths.
 
 The backward step is explicit in y when the driver does not depend on y,
-and one-step implicit (a per-path Newton fixed point) when it does; the
-transformed route's driver always depends on its value, so its step is
-always implicit.
+and one-step implicit (a per-path Newton fixed point) when it does, always on
+the transformed route.  Each step builds its driver as a function of y once,
+evaluating the y-free terms then, so Newton's calls redo only the y part.
 
 Per step, the z-component is estimated by regressing Y_{k+1} dW_k on the
 state basis and dividing by dt; the conditional mean of Y_{k+1} comes from
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .expressions import time_derivative
-from .problem import DriverSpec, ForwardSpec, eval_driver, girsanov_shifted_driver
+from .problem import DriverSpec, ForwardSpec, _checked_eval, eval_driver, girsanov_shifted_driver
 from .sde import PathEnsemble
 
 U_FLOOR = 1e-12           # clamp floor for the transformed process
@@ -150,21 +150,24 @@ def _fit(features: np.ndarray, targets: np.ndarray, design: tuple, step: int):
     return features @ coef, coef
 
 
-def _implicit_y(driver: Callable, t: float, x: np.ndarray, m: np.ndarray,
-                z: np.ndarray, dt: float, step: int) -> np.ndarray:
-    """Per-path fixed point of y = m + driver(t, x, y, z) dt by vector Newton."""
-    y = m + np.asarray(driver(t, x, m, z), dtype=float) * dt
+def _implicit_y(f: Callable, m: np.ndarray, dt: float, step: int) -> np.ndarray:
+    """Per-path fixed point of y = m + f(y) dt by in-place Newton; f returns fresh arrays."""
+    y = f(m) * dt + m
+    h, w = np.empty_like(y), np.empty_like(y)
     for _ in range(NEWTON_MAX_ITER):
-        resid = y - m - np.asarray(driver(t, x, y, z), dtype=float) * dt
-        scale = max(1.0, float(np.max(np.abs(y))))
+        resid = f(y)
+        resid *= dt
+        np.subtract(np.subtract(y, m, out=h), resid, out=resid)   # y - m - f(y) dt
+        scale = max(1.0, float(np.max(np.abs(y, out=h))))
         if float(np.max(np.abs(resid))) <= NEWTON_TOL * scale:
             return y
-        h = 1e-6 * np.maximum(1.0, np.abs(y))
-        dF = (np.asarray(driver(t, x, y + h, z), float)
-              - np.asarray(driver(t, x, y - h, z), float)) / (2.0 * h)
-        slope = 1.0 - dF * dt
-        slope = np.where(np.abs(slope) < 1e-12, 1.0, slope)
-        y = y - resid / slope
+        np.multiply(np.maximum(h, 1.0, out=h), 1e-6, out=h)
+        slope = f(np.add(y, h, out=w))
+        slope -= f(np.subtract(y, h, out=w))
+        slope /= np.multiply(h, 2.0, out=h)
+        np.subtract(1.0, np.multiply(slope, dt, out=slope), out=slope)
+        slope[np.abs(slope) < 1e-12] = 1.0
+        y -= np.divide(resid, slope, out=resid)
     raise SolverError(f"implicit step did not converge at step {step}", step=step)
 
 
@@ -219,9 +222,9 @@ def _backward_recursion(
 ):
     """Shared backward loop; optionally clamps the value into a band per step.
 
-    Returns (V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target, v0), where
-    v0 is the time-0 value: the common entry when every path starts at one
-    state, the path mean otherwise.
+    ``driver(t, x, z)`` is the step's driver in y.  Returns (V, Zc, y_coefs,
+    z_coefs, clamp_counts, stderr_target, v0), v0 being the time-0 value: the
+    common entry when every path starts at one state, the path mean otherwise.
     """
     n_paths, n_steps = ens.dW.shape
     dt = ens.grid.dt
@@ -261,9 +264,9 @@ def _backward_recursion(
             y_coefs[k] = coef[:, 0]
             z_coefs[k] = coef[:, 1] / dt
         if implicit:
-            v = _implicit_y(driver, t, x, m, zk, dt, step=k)
+            v = _implicit_y(driver(t, x, zk), m, dt, step=k)
         else:
-            v = m + np.asarray(driver(t, x, v_next, zk), dtype=float) * dt
+            v = m + np.asarray(driver(t, x, zk)(v_next), dtype=float) * dt
         if not np.all(np.isfinite(v)):
             raise SolverError(
                 f"backward recursion produced non-finite values at step {k}; "
@@ -304,8 +307,8 @@ def solve_lsmc(
     """
     terminal = _terminal_values(spec, ens)
 
-    def driver(t, x, y, z):
-        return eval_driver(spec, t, x, y, z)
+    def driver(t, x, z):
+        return lambda y: eval_driver(spec, t, x, y, z)
 
     V, Zc, y_coefs, z_coefs, clamps, se, y0 = _backward_recursion(
         ens, terminal, driver, basis, implicit=spec.depends_on_y)
@@ -344,18 +347,22 @@ def solve_transformed(
     hdot_cache = {float(t): float(time_derivative(spec.z_quad, float(t), span=horizon))
                   for t in times}
 
-    def u_driver(t, x, u, lam):
+    def u_driver(t, x, lam):   # the y-free terms once per step
         Ht = float(spec.z_quad(t))
-        hdot = hdot_cache[float(t)]   # the recursion only visits grid times
-        u_safe = np.maximum(u, 1e-15)
-        ln_u = np.log(u_safe)
-        bracket = (hdot / Ht) * ln_u + Ht * spec.source(t, x)
-        if spec.y_term is not None:
-            bracket = bracket - Ht * spec.y_term(t, M - ln_u / Ht)
-        out = -u_safe * bracket
-        if spec.z_slope is not None:
-            out = out + spec.z_slope(t, x) * lam
-        return out
+        rate = hdot_cache[t] / Ht   # the recursion only visits grid times
+        fixed = Ht * _checked_eval("source", spec.source, t, x)
+        push = None if spec.z_slope is None else _checked_eval("z_slope", spec.z_slope, t, x) * lam
+
+        def f(u):   # -u ((hdot/H) ln u + H source - H y_term) + z_slope lam
+            u = np.maximum(u, 1e-15)
+            ln_u = np.log(u)
+            bracket = rate * ln_u
+            bracket += fixed
+            if spec.y_term is not None:
+                bracket -= Ht * _checked_eval("y_term", spec.y_term, t, M - ln_u / Ht)
+            np.negative(np.multiply(bracket, u, out=bracket), out=bracket)
+            return bracket if push is None else bracket + push
+        return f
 
     U, Lam, y_coefs, z_coefs, clamps, se_u, u0 = _backward_recursion(
         ens, u_terminal, u_driver, basis, implicit=True, clamp=(U_FLOOR, 1.0))
@@ -373,18 +380,8 @@ def solve_transformed(
         y0=y0, y0_stderr=y0_stderr, clamp_counts=clamps, driver=spec, seed=ens.seed)
 
 
-def solve_girsanov(
-    ens0: PathEnsemble,
-    spec: DriverSpec,
-    fwd: ForwardSpec,
-    basis: BasisSpec,
-) -> BackwardSolution:
-    """Direct recursion with the drift-eliminated driver on driftless paths.
-
-    ``ens0`` must have been simulated with zero drift and the same diffusion;
-    this is verified structurally (its increments must reproduce
-    sigma(t, X) dW exactly) rather than trusted.
-    """
+def _check_driftless(ens0: PathEnsemble, fwd: ForwardSpec) -> None:
+    """Raise ``DomainError`` unless ``ens0``'s increments are sigma(t, X) dW, |sigma| >= 1e-12."""
     times = ens0.grid.times()
     for k in (0, ens0.n_steps // 2, ens0.n_steps - 1):
         x = ens0.states[:, k]
@@ -397,6 +394,20 @@ def solve_girsanov(
             raise DomainError(
                 "ensemble does not look driftless: increments deviate from sigma dW "
                 f"at step {k}; simulate it with mu = 0")
+
+
+def solve_girsanov(
+    ens0: PathEnsemble,
+    spec: DriverSpec,
+    fwd: ForwardSpec,
+    basis: BasisSpec,
+) -> BackwardSolution:
+    """Direct recursion with the drift-eliminated driver on driftless paths.
+
+    ``ens0`` must have been simulated with zero drift and the same diffusion;
+    this is verified structurally (``_check_driftless``) rather than trusted.
+    """
+    _check_driftless(ens0, fwd)
     shifted = girsanov_shifted_driver(spec, fwd)
     return solve_lsmc(ens0, shifted, basis, route="girsanov")
 

@@ -9,7 +9,8 @@ disagreement is the experiment's failure signal, echoing the theory's
 uniqueness claim in a falsifiable form.
 
 The Monte Carlo routes share paths: each distinct ensemble is simulated once
-and serves every route's solves (girsanov's only where mu is exactly 0 on it).
+and serves every route's solves (girsanov's only where mu is exactly 0 on it),
+and beside direct, girsanov takes direct's solves where its driver is direct's.
 
 Every experiment records its seeds and resolutions and is reproducible bit
 for bit from them.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsde import BasisSpec, solve_girsanov, solve_lsmc, solve_transformed
+from .bsde import BasisSpec, _check_driftless, solve_girsanov, solve_lsmc, solve_transformed
 from .control import _write_rows, solve_riccati
 from .errors import DomainError, SolverError
 from .pde import SpaceGrid, solve_pde
@@ -210,7 +211,7 @@ def _richer_candidates(basis: BasisSpec) -> list:
 _REPLICATE_OFFSET = 990001
 
 
-def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list) -> list:
+def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: dict) -> list:
     """Monte Carlo estimates for (route, seed, basis) jobs, in job order.
 
     Statistical error is the one-step stderr of the final averaging.  The
@@ -225,6 +226,8 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list) -> list
     every job (the base: its base solve, then its richer-basis probe) and are
     freed before the next exists.  girsanov needs driftless paths: it shares
     an ensemble where mu is exactly 0 on it, else gets its own with mu = 0.
+    Each ensemble solves each distinct (driver, basis) once; where sigma != 0
+    too, girsanov's driver is direct's and it takes direct's solves (``meta``).
     """
     fwd = setup.forward
     tgrid = numerics.time_grid(fwd)
@@ -239,8 +242,13 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list) -> list
     found = {}   # job -> [value, stat_err, probe shifts...]
 
     def y0(ens, route: str, basis: BasisSpec) -> tuple:   # drops Y and Z, ensemble-sized
-        sol = solvers[route](ens, setup.driver, basis)
-        return sol.y0, sol.y0_stderr
+        if route == "girsanov" and as_direct:
+            _check_driftless(ens, fwd)   # girsanov's own checks and errors come first
+            route, meta["girsanov"] = "direct", "direct's solves (mu == 0 on every path)"
+        if (route, basis) not in solved:   # solved and as_direct: the current ensemble's
+            sol = solvers[route](ens, setup.driver, basis)
+            solved[route, basis] = sol.y0, sol.y0_stderr
+        return solved[route, basis]
 
     def run(ens, job):
         route, _, basis = job
@@ -261,14 +269,19 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list) -> list
                 ens = simulate(replace(fwd, mu=0.0) if driftless else fwd, grid,
                                numerics.n_paths, seed + offset)
                 served = [job for job in pending if job[0] != "girsanov"]
-                # mu == 0 at each state stepped from: x + 0 dt + sigma dW, the mu = 0 march
+                stepped = list(zip(grid.times()[:-1], ens.states.T))
+                solved, as_direct = {}, False
+                # mu == 0 at each state stepped from: x + 0 dt + sigma dW, the mu = 0 march;
+                # where sigma != 0 too, girsanov's shift mu / sigma is 0 and its driver direct's
                 if driftless or len(served) < len(pending) and not any(
-                        np.any(fwd.mu(t, x)) for t, x in zip(grid.times()[:-1], ens.states.T)):
+                        np.any(fwd.mu(t, x)) for t, x in stepped):
+                    as_direct = any(job[0] == "direct" for job in served) and all(
+                        np.all(fwd.sigma(t, x)) for t, x in stepped)
                     served = pending
                 for job in served:
                     run(ens, job)
                 pending = [job for job in pending if job not in served]
-                del ens   # before the next ensemble exists
+                del ens, stepped   # before the next ensemble exists (stepped holds its states)
     return [RouteEstimate(job[0], *found[job][:2], max(found[job][2:])) for job in jobs]
 
 
@@ -276,7 +289,7 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
                    seed: int | None = None, basis: BasisSpec | None = None) -> RouteEstimate:
     """One Monte Carlo route with its error budget: the one-job ``_lsmc_estimates``."""
     job = (route, numerics.seed if seed is None else seed, numerics.basis if basis is None else basis)
-    return _lsmc_estimates(setup, numerics, [job])[0]
+    return _lsmc_estimates(setup, numerics, [job], {})[0]
 
 
 def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
@@ -324,17 +337,17 @@ def run_feynman_kac_check(
     # the other routes, and unknown names' errors, come before any LSMC ensemble
     estimates = {r: None if r in LSMC_ROUTES else estimate_route(setup, numerics, r) for r in routes}
     jobs = [(r, numerics.seed, numerics.basis) for r in estimates if r in LSMC_ROUTES]
-    estimates.update((est.route, est) for est in _lsmc_estimates(setup, numerics, jobs))
-    if len(estimates) < 2:
-        raise DomainError(f"need at least 2 distinct routes to compare, got {list(estimates)}")
-    verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
-                for a, b, gap, tol in _pairs(list(estimates.values()),
-                                             lambda e: (e.value, e.total_err))]
     meta = {
         "label": setup.label, "seed": numerics.seed, "n_paths": numerics.n_paths,
         "n_steps": numerics.n_steps, "n_space": numerics.n_space,
         "basis": numerics.basis.label(),
     }
+    estimates.update((est.route, est) for est in _lsmc_estimates(setup, numerics, jobs, meta))
+    if len(estimates) < 2:
+        raise DomainError(f"need at least 2 distinct routes to compare, got {list(estimates)}")
+    verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
+                for a, b, gap, tol in _pairs(list(estimates.values()),
+                                             lambda e: (e.value, e.total_err))]
     return ExperimentResult("feynman_kac", estimates, verdicts, meta)
 
 
@@ -365,7 +378,7 @@ def run_uniqueness_check(
         jobs = [(route, seed, basis)
                 for route in routes for basis in basis_list for seed in seed_list]
         return [(route, basis.label(), int(seed), est.value, est.total_err)
-                for (route, seed, basis), est in zip(jobs, _lsmc_estimates(setup, num, jobs))]
+                for (route, seed, basis), est in zip(jobs, _lsmc_estimates(setup, num, jobs, meta))]
 
     def band_violation(rows):
         """The pair furthest outside its tolerance, or None."""
@@ -373,14 +386,14 @@ def run_uniqueness_check(
                   for a, b, gap, tol in _pairs(rows, lambda r: (r[3], r[4])) if gap > tol]
         return max(splits, key=lambda w: w[0], default=None)
 
+    meta = {}   # girsanov's reuse of direct's solves, then the run's record
     rows = collect(numerics)
     violation = band_violation(rows)
     doubled = False
     if violation is not None:
         doubled = True
-        rows2 = collect(replace(numerics, n_paths=2 * numerics.n_paths))
-        violation = band_violation(rows2)
-        rows = rows2
+        rows = collect(replace(numerics, n_paths=2 * numerics.n_paths))
+        violation = band_violation(rows)
 
     values = [r[3] for r in rows]
     spread = max(values) - min(values)
@@ -393,12 +406,12 @@ def run_uniqueness_check(
                 f"persistent split {violation[1][:3]} vs {violation[2][:3]}: "
                 f"gap {violation[3]:.3e} > tol {violation[4]:.3e}"
                 + ("" if not doubled else " after path doubling")))]
-    meta = {
+    meta.update({
         "label": setup.label, "seeds": list(map(int, seed_list)),
         "bases": [b.label() for b in basis_list], "routes": list(routes),
         "n_paths": numerics.n_paths, "n_steps": numerics.n_steps,
         "doubled": doubled,
-    }
+    })
     return ExperimentResult(
         "uniqueness", {}, verdicts, meta,
         table=[list(r) for r in rows],

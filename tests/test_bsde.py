@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import fbsdelab as fl
 import fbsdelab.bsde as bsde
 from fbsdelab.bsde import MIN_SUPPORT, _Basis, _design, _fit
-from fbsdelab.errors import DomainError, SolverError
+from fbsdelab.errors import DomainError, EvaluationError, SolverError
 
 
 def brownian(x0=0.0):
@@ -293,6 +294,32 @@ class TestSolveTransformed:
             errs.append(abs(sol.y0 - 1.5))
         assert errs[0] < 0.01
         assert errs[1] < 0.5 * errs[0]
+
+    def test_step_bits_match_recorded_values(self):
+        # every per-step term of the transformed driver at once: z_slope,
+        # y_term and a moving z_quad (hdot != 0); y0 and the sha256 of Y and Z
+        # were recorded before the y-free terms were hoisted out of Newton
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 2000, seed=16)
+        spec = driver(source=lambda t, x: x ** 2, z_quad=lambda t: 0.5 + 0.25 * t,
+                      terminal=lambda x: 1.0 - np.exp(-x ** 2),
+                      z_slope=lambda t, x: 0.3 * np.sin(x), y_term=lambda t, y: 0.2 * y)
+        sol = fl.solve_transformed(ens, spec, fl.BasisSpec("polynomial", 2))
+        assert repr(sol.y0) == "0.6746198447912531"
+        assert hashlib.sha256(sol.Y.tobytes()).hexdigest() == (
+            "42b8045df864351a85315fe9484182b730daadbb8be87f0b9c453a1f96c5dbe0")
+        assert hashlib.sha256(sol.Z.tobytes()).hexdigest() == (
+            "ded4339bd1375b25397253a08c8653c3d94fc5f201a743c57219d57f8b4091bb")
+
+    @pytest.mark.parametrize("solve", [fl.solve_lsmc, fl.solve_transformed])
+    def test_non_finite_source_named(self, solve):
+        # both routes name the coefficient and the first bad (t, x) at step 15
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 2000, seed=3)
+        spec = driver(source=lambda t, x: np.where(x > 1.5, np.nan, x ** 2), z_quad=1.0,
+                      terminal=lambda x: x ** 2)
+        with pytest.raises(EvaluationError) as err:
+            solve(ens, spec, fl.BasisSpec("polynomial", 2))
+        assert err.value.coefficient == "source"
+        assert err.value.point[0] == 0.9375 and err.value.point[1] > 1.5
 
 
 class TestSolveGirsanov:

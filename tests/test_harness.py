@@ -21,6 +21,10 @@ def count_simulations(monkeypatch) -> list:
     return calls
 
 
+def no_girsanov(*args):
+    raise AssertionError("girsanov recursion ran")
+
+
 def per_route_reference(setup, num, route, seed, basis):
     """The estimate computed route by route, every probe on freshly simulated paths."""
     fwd = setup.forward
@@ -176,14 +180,56 @@ class TestSharedEnsembles:
             return fl.solve_girsanov(ens, *args)
 
         monkeypatch.setattr(harness, "solve_girsanov", recording_girsanov)
-        fl.run_feynman_kac_check(benchmark_setup, self.num,
-                                 routes=["direct", "girsanov"])
+        # without direct beside it, girsanov is solved on the shared paths
+        res = fl.run_feynman_kac_check(benchmark_setup, self.num, routes=["pde", "girsanov"])
         driftless = replace(benchmark_setup.forward, mu=0.0)
         assert len(seen) == 4
+        assert "girsanov" not in res.meta
         for ens in seen:
             fresh = fl.simulate(driftless, ens.grid, self.num.n_paths, ens.seed)
             assert np.array_equal(ens.states, fresh.states)
             assert np.array_equal(ens.dW, fresh.dW)
+
+    @pytest.mark.parametrize("routes", [["direct", "girsanov"], ["girsanov", "pde", "direct"]])
+    def test_girsanov_takes_directs_solves_where_mu_vanishes(self, benchmark_setup,
+                                                             monkeypatch, routes):
+        # mu == 0 and sigma != 0 on every path: one solve per (ensemble, basis)
+        # serves both routes, whichever comes first, and the meta says so
+        solved = []
+
+        def recording_solve(ens, spec, basis, **kw):
+            solved.append((ens.grid.n_steps, ens.seed, basis))
+            return fl.solve_lsmc(ens, spec, basis, **kw)
+
+        monkeypatch.setattr(harness, "solve_lsmc", recording_solve)
+        monkeypatch.setattr(harness, "solve_girsanov", no_girsanov)
+        res = fl.run_feynman_kac_check(benchmark_setup, self.num, routes=routes)
+        assert len(solved) == len(set(solved)) == 4
+        assert res.routes["girsanov"] == replace(res.routes["direct"], route="girsanov")
+        assert res.meta["girsanov"] == "direct's solves (mu == 0 on every path)"
+        assert "\n# girsanov = \"direct's solves (mu == 0 on every path)\"\n" in res.summary()
+
+    def test_uniqueness_girsanov_rows_equal_directs(self, benchmark_setup, monkeypatch):
+        monkeypatch.setattr(harness, "solve_girsanov", no_girsanov)
+        bases = [fl.BasisSpec("polynomial", 2), fl.BasisSpec("piecewise_linear", n_knots=6)]
+        res = fl.run_uniqueness_check(benchmark_setup, self.num, [7, 8, 9], bases,
+                                      routes=("girsanov", "transformed", "direct"))
+        rows = {route: [row[1:] for row in res.table if row[0] == route]
+                for route in ("direct", "girsanov")}
+        assert len(rows["direct"]) == 6 and rows["girsanov"] == rows["direct"]
+        assert res.meta["girsanov"] == "direct's solves (mu == 0 on every path)"
+
+    @pytest.mark.parametrize("sigma", [lambda t, x: x, 1e-13])
+    @pytest.mark.parametrize("routes", [["direct", "girsanov"], ["girsanov", "direct"]])
+    def test_reuse_keeps_girsanovs_own_errors(self, sigma, routes):
+        # sigma = x from x0 = 0 vanishes on every path; sigma = 1e-13 vanishes
+        # nowhere but fails girsanov's bound, checked before direct's solves serve it
+        fwd = fl.ForwardSpec(mu=0.0, sigma=sigma, x0=0.0, horizon=1.0)
+        drv = fl.DriverSpec(source=lambda t, x: x ** 2, z_quad=0.0, terminal=lambda x: x ** 2)
+        setup = fl.ProblemSetup(label="sigma", forward=fwd, driver=drv)
+        with pytest.raises(DomainError) as err:
+            fl.run_feynman_kac_check(setup, self.num, routes=routes)
+        assert str(err.value) == "sigma is not bounded away from zero on the sampled range"
 
     @pytest.mark.parametrize("setup_name", ["benchmark_setup", "perturbed_setup"])
     def test_estimates_equal_route_by_route_solves(self, setup_name, request):
