@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .expressions import time_derivative
-from .problem import DriverSpec, ForwardSpec, _checked_eval, eval_driver, girsanov_shifted_driver
+from .problem import DriverSpec, ForwardSpec, eval_driver, girsanov_shifted_driver
 from .sde import PathEnsemble
 
 U_FLOOR = 1e-12           # clamp floor for the transformed process
@@ -204,14 +204,6 @@ class BackwardSolution:
         return self.Z.shape[1]
 
 
-def _terminal_values(spec: DriverSpec, ens: PathEnsemble) -> np.ndarray:
-    """The terminal function on the ensemble's final states, checked finite."""
-    terminal = spec.terminal(ens.states[:, -1])
-    if not np.all(np.isfinite(terminal)):
-        raise DomainError("terminal values are not finite on the ensemble")
-    return terminal
-
-
 def _backward_recursion(
     ens: PathEnsemble,
     terminal: np.ndarray,
@@ -266,7 +258,7 @@ def _backward_recursion(
         if implicit:
             v = _implicit_y(driver(t, x, zk), m, dt, step=k)
         else:
-            v = m + np.asarray(driver(t, x, zk)(v_next), dtype=float) * dt
+            v = m + driver(t, x, zk)(v_next) * dt
         if not np.all(np.isfinite(v)):
             raise SolverError(
                 f"backward recursion produced non-finite values at step {k}; "
@@ -305,7 +297,7 @@ def solve_lsmc(
     fixed point (scheme one_step_implicit); otherwise it is the previous
     backward iterate (scheme explicit).
     """
-    terminal = _terminal_values(spec, ens)
+    terminal = spec.terminal(ens.states[:, -1])
 
     def driver(t, x, z):
         return lambda y: eval_driver(spec, t, x, y, z)
@@ -333,12 +325,12 @@ def solve_transformed(
     """
     times = ens.grid.times()
     H = spec.z_quad(times)
-    if np.any(~np.isfinite(H)) or np.any(H <= 0.0):
+    if np.any(H <= 0.0):
         raise DomainError("transform requires z_quad > 0 on the whole grid")
     M = spec.value_floor
     horizon = float(times[-1])
 
-    g_vals = _terminal_values(spec, ens)
+    g_vals = spec.terminal(ens.states[:, -1])
     if np.any(g_vals < M - 1e-9):
         raise DomainError(
             "terminal values fall below value_floor; the declared floor is not a lower bound")
@@ -350,8 +342,8 @@ def solve_transformed(
     def u_driver(t, x, lam):   # the y-free terms once per step
         Ht = float(spec.z_quad(t))
         rate = hdot_cache[t] / Ht   # the recursion only visits grid times
-        fixed = Ht * _checked_eval("source", spec.source, t, x)
-        push = None if spec.z_slope is None else _checked_eval("z_slope", spec.z_slope, t, x) * lam
+        fixed = Ht * spec.source(t, x)
+        push = None if spec.z_slope is None else spec.z_slope(t, x) * lam
 
         def f(u):   # -u ((hdot/H) ln u + H source - H y_term) + z_slope lam
             u = np.maximum(u, 1e-15)
@@ -359,7 +351,7 @@ def solve_transformed(
             bracket = rate * ln_u
             bracket += fixed
             if spec.y_term is not None:
-                bracket -= Ht * _checked_eval("y_term", spec.y_term, t, M - ln_u / Ht)
+                bracket -= Ht * spec.y_term(t, M - ln_u / Ht)
             np.negative(np.multiply(bracket, u, out=bracket), out=bracket)
             return bracket if push is None else bracket + push
         return f
@@ -385,7 +377,7 @@ def _check_driftless(ens0: PathEnsemble, fwd: ForwardSpec) -> None:
     times = ens0.grid.times()
     for k in (0, ens0.n_steps // 2, ens0.n_steps - 1):
         x = ens0.states[:, k]
-        sig = fwd.diffusion(times[k], x)
+        sig = fwd.sigma(times[k], x)
         if np.any(np.abs(sig) < 1e-12):
             raise DomainError("sigma is not bounded away from zero on the sampled range")
         step_gap = ens0.states[:, k + 1] - x - sig * ens0.dW[:, k]
@@ -448,7 +440,7 @@ def martingale_residual(
         spec = sol.driver
     # the seed and the terminal row pin the ensemble's paths, the grid its times
     if (ens.states.shape != sol.Y.shape or ens.grid != sol.grid or ens.seed != sol.seed
-            or not np.array_equal(sol.Y[:, -1], _terminal_values(spec, ens))):
+            or not np.array_equal(sol.Y[:, -1], spec.terminal(ens.states[:, -1]))):
         raise DomainError("solution and ensemble are not aligned")
     dt = ens.grid.dt
     times = ens.grid.times()

@@ -123,7 +123,7 @@ class ControlPolicy:
     u_max: float = 1e6
 
     def __post_init__(self):
-        object.__setattr__(self, "law", _full_field(self.law))
+        object.__setattr__(self, "law", _full_field(self.law, "law"))
 
     def __call__(self, t, x):
         out = np.clip(self.law(t, x), -self.u_max, self.u_max)
@@ -185,8 +185,8 @@ def estimate_cost(
     applied to the whole controlled drift: with the policy forced to zero
     they match the uncontrolled ensemble bit for bit on the same seed.
     """
-    fwd = replace(cps.uncontrolled_forward(),
-                  mu=lambda t, x: cps.drift(t, x) + cps.B(t) * policy(t, x))
+    uncontrolled = cps.uncontrolled_forward()
+    fwd = replace(uncontrolled, mu=lambda t, x: uncontrolled.mu(t, x) + cps.B(t) * policy(t, x))
     ens = simulate(fwd, grid, n_paths, seed)
     cost = _per_path_costs(cps, policy, ens)
     return CostEstimate(

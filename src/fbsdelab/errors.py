@@ -13,12 +13,15 @@ class EvaluationError(FbsdeLabError, ArithmeticError):
     """A coefficient produced a non-finite value.
 
     Carries the coefficient name and the point at which it failed so the
-    offending problem definition can be located.
+    offending problem definition can be located, plus that point's flat index
+    among the evaluated points and the value there (inf on overflow).
     """
 
-    def __init__(self, coefficient: str, point):
+    def __init__(self, coefficient: str, point, index: int = 0, value: float = float("nan")):
         self.coefficient = coefficient
         self.point = point
+        self.index = index
+        self.value = value
         super().__init__(f"coefficient {coefficient!r} produced a non-finite value at {point}")
 
 

@@ -19,7 +19,6 @@ for bit from them.
 from __future__ import annotations
 
 import os
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -160,18 +159,14 @@ class ExperimentResult:
 
 
 def _applicable_routes(setup: ProblemSetup, tgrid: TimeGrid) -> list:
-    routes = []
-    if setup.control is not None and setup.control.delta == 0.0:
-        routes.append("riccati")
-    routes.append("pde")
-    routes.append("direct")
+    routes = ["riccati"] if setup.control is not None and setup.control.delta == 0.0 else []
+    routes += ["pde", "direct"]
     times = tgrid.times()
-    H = setup.driver.z_quad(times)
-    if np.all(np.isfinite(H)) and np.all(H > 0.0):
+    if np.all(setup.driver.z_quad(times) > 0.0):
         routes.append("transformed")
     xs = np.linspace(setup.forward.x0 - 1.0, setup.forward.x0 + 1.0, 9)
     sig_ok = all(
-        float(np.min(np.abs(setup.forward.diffusion(t, xs)))) > 1e-8
+        float(np.min(np.abs(setup.forward.sigma(t, xs)))) > 1e-8
         for t in times[:: max(1, len(times) // 8)]
     )
     if sig_ok:
@@ -219,7 +214,10 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
     three probes: a replicate run on fresh noise (recursion noise the
     one-step stderr cannot see), halving the step count, and enriching the
     regression basis.  Taking the max rather than the sum avoids counting
-    the same recursion noise in every difference.
+    the same recursion noise in every difference.  A probe whose solve fails
+    (``SolverError``) is left out of the max and listed in
+    ``meta["lost_probes"]``; a job that loses all three has no error budget
+    and raises.
 
     Per seed, the base (seed, full grid), replicate (seed + _REPLICATE_OFFSET)
     and half-step (seed, half grid) ensembles are each simulated once, serve
@@ -231,9 +229,10 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
     """
     fwd = setup.forward
     tgrid = numerics.time_grid(fwd)
-    ensembles = [(tgrid, 0), (tgrid, _REPLICATE_OFFSET)]
+    ensembles = [(tgrid, 0, None), (tgrid, _REPLICATE_OFFSET, "replicate")]
     if tgrid.n_steps >= 2:
-        ensembles.append((TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2), 0))
+        half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
+        ensembles.append((half, 0, "half-step"))
     solvers = {"direct": solve_lsmc, "transformed": solve_transformed,
                "girsanov": lambda ens, driver, basis: solve_girsanov(ens, driver, fwd, basis)}
     for route, _, _ in jobs:   # before any ensemble is simulated
@@ -250,19 +249,25 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
             solved[route, basis] = sol.y0, sol.y0_stderr
         return solved[route, basis]
 
-    def run(ens, job):
-        route, _, basis = job
-        if job in found:   # a probe: the base ensemble came first
-            found[job].append(abs(found[job][0] - y0(ens, route, basis)[0]))
-            return
-        found[job] = list(y0(ens, route, basis))
-        for richer in _richer_candidates(basis):
-            with suppress(SolverError), np.errstate(over="ignore", invalid="ignore"):
-                found[job].append(abs(found[job][0] - y0(ens, route, richer)[0]))
-                break
+    def run(ens, job, probe):
+        route, seed, basis = job
+        candidates = [basis]
+        if probe is None:   # the base ensemble comes first: the base solve, then richer bases
+            found[job] = list(y0(ens, route, basis))
+            probe, candidates = "richer-basis", _richer_candidates(basis)
+        for candidate in candidates:   # a probe settles for the first that solves
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    found[job].append(abs(found[job][0] - y0(ens, route, candidate)[0]))
+                return
+            except SolverError as exc:
+                reason = str(exc).split(";")[0]
+        meta.setdefault("lost_probes", []).append(
+            f"{route}, seed {seed}, {basis.label()}, {numerics.n_paths} paths: "
+            f"{probe} probe failed ({reason})")
 
     for seed in dict.fromkeys(job[1] for job in jobs):
-        for grid, offset in ensembles:
+        for grid, offset, probe in ensembles:
             pending = list(dict.fromkeys(job for job in jobs if job[1] == seed))
             while pending:   # twice when girsanov needs its own paths
                 driftless = all(job[0] == "girsanov" for job in pending)
@@ -279,9 +284,13 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
                         np.all(fwd.sigma(t, x)) for t, x in stepped)
                     served = pending
                 for job in served:
-                    run(ens, job)
+                    run(ens, job, probe)
                 pending = [job for job in pending if job not in served]
                 del ens, stepped   # before the next ensemble exists (stepped holds its states)
+    for route, seed, basis in jobs:
+        if len(found[route, seed, basis]) == 2:
+            raise SolverError(f"every error probe of {route} (seed {seed}, {basis.label()}) "
+                              f"failed, so its error budget is unknown")
     return [RouteEstimate(job[0], *found[job][:2], max(found[job][2:])) for job in jobs]
 
 
@@ -299,14 +308,13 @@ def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
 
 
 def estimate_route(setup: ProblemSetup, numerics: Numerics, route: str) -> RouteEstimate:
+    """The riccati or pde estimate; the Monte Carlo routes go through ``_lsmc_estimates``."""
     if route == "riccati":
         if setup.control is None or setup.control.delta != 0.0:
             raise DomainError("closed-form route needs an unperturbed control problem")
         return _riccati_estimate(setup, numerics)
     if route == "pde":
         return _pde_estimate(setup, numerics)
-    if route in LSMC_ROUTES:
-        return _lsmc_estimate(setup, numerics, route)
     raise DomainError(f"unknown route {route!r}")
 
 

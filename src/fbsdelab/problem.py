@@ -10,10 +10,15 @@ The module also houses the executable checker for the standing assumptions
 under which the backward equation is expected to have a unique bounded-below
 solution; the checker samples finite grids, so failures come with concrete
 witnesses while passes are evidence, not proof.
+
+Each coefficient has one evaluation path, ``_full_field``, applied when its
+spec is built: a non-finite value raises ``EvaluationError`` naming the
+coefficient and its first bad point, on every route alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,12 +27,14 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 
-def _full_field(c) -> Callable:
-    """Make a scalar or callable coefficient return full-shape float arrays.
+def _full_field(c, name: str) -> Callable:
+    """Make a scalar or callable coefficient return full-shape, finite float arrays.
 
     The wrapped coefficient returns an array of the broadcast shape of its
-    arguments (a numpy scalar when they are all scalars), so no caller patches
-    shapes.  The spec constructors apply it once, and it is idempotent.
+    arguments (a numpy scalar when they are all scalars), or raises
+    ``EvaluationError(name, point)`` at the first (C-order) point where it is
+    not finite, so no caller patches shapes or checks values.  The spec
+    constructors apply it once, and it is idempotent.
     """
     if getattr(c, "full_shape", False):
         return c
@@ -35,6 +42,11 @@ def _full_field(c) -> Callable:
 
     def full(*args):
         out = np.asarray(fn(*args), dtype=float)
+        if not (np.isfinite(out).all() if out.ndim else math.isfinite(out)):
+            at = np.broadcast_arrays(out, *[np.asarray(a, dtype=float) for a in args])
+            bad = int(np.argmax(~np.isfinite(at[0]).ravel()))
+            raise EvaluationError(name, tuple(float(a.flat[bad]) for a in at[1:]),
+                                  index=bad, value=float(at[0].flat[bad]))
         shape = out.shape
         for a in args:
             s = () if isinstance(a, (int, float)) else np.shape(a)   # skips a slow np.shape
@@ -60,16 +72,10 @@ class ForwardSpec:
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
-        object.__setattr__(self, "mu", _full_field(self.mu))
-        object.__setattr__(self, "sigma", _full_field(self.sigma))
+        for name in ("mu", "sigma"):
+            object.__setattr__(self, name, _full_field(getattr(self, name), name))
         object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "horizon", float(self.horizon))
-
-    def drift(self, t, x):
-        return _checked_eval("mu", self.mu, t, x)
-
-    def diffusion(self, t, x):
-        return _checked_eval("sigma", self.sigma, t, x)
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class DriverSpec:
     def __post_init__(self):
         for name in ("source", "z_quad", "terminal", "z_slope", "y_term"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _full_field(getattr(self, name)))
+                object.__setattr__(self, name, _full_field(getattr(self, name), name))
         if not np.isfinite(self.value_floor):
             raise DomainError("value_floor must be finite")
 
@@ -132,23 +138,15 @@ class ControlProblemSpec:
         if self.terminal_weight < 0.0:
             raise DomainError("terminal_weight must be >= 0")
         for name in ("A", "B", "sigma", "target", "control_weight"):
-            object.__setattr__(self, name, _full_field(getattr(self, name)))
-        ts = np.linspace(0.0, self.horizon, 65)
-        k1 = self.control_weight(ts)
-        if not np.all(np.isfinite(k1)) or np.any(k1 <= 0.0):
+            object.__setattr__(self, name, _full_field(getattr(self, name), name))
+        if np.any(self.control_weight(np.linspace(0.0, self.horizon, 65)) <= 0.0):
             raise DomainError("control_weight must be positive on [0, horizon]")
 
-    def drift(self, t, x):
-        # at delta = 0 this skips a float ** 3, milliseconds on 10^5 paths
-        return self.A(t) * x - self.delta * x ** 3 if self.delta else self.A(t) * x
-
     def uncontrolled_forward(self) -> ForwardSpec:
-        return ForwardSpec(
-            mu=self.drift,
-            sigma=lambda t, x: self.sigma(t),
-            x0=self.x0,
-            horizon=self.horizon,
-        )
+        # at delta = 0 the drift skips a float ** 3, milliseconds on 10^5 paths
+        return ForwardSpec(mu=lambda t, x: self.A(t) * x - self.delta * x ** 3 if self.delta
+                           else self.A(t) * x,
+                           sigma=lambda t, x: self.sigma(t), x0=self.x0, horizon=self.horizon)
 
     def hamiltonian_quad_coefficient(self, t):
         """H(t) = B^2 / (2 k1 sigma^2), the z-curvature of the reduced driver."""
@@ -168,29 +166,14 @@ class ControlProblemSpec:
         )
 
 
-def _checked_eval(name: str, fn: Callable, *args):
-    out = np.asarray(fn(*args), dtype=float)
-    if not np.all(np.isfinite(out)):
-        flat = np.broadcast_arrays(*[np.asarray(a, float) for a in args])
-        bad = int(np.argmax(~np.isfinite(np.atleast_1d(out))))
-        point = tuple(float(np.atleast_1d(a).flat[min(bad, np.atleast_1d(a).size - 1)])
-                      for a in flat)
-        raise EvaluationError(name, point)
-    return out if out.ndim else float(out)
-
-
 def eval_driver(spec: DriverSpec, t, x, y, z):
     """F(t, x, y, z) with the quadratic-in-z structure; exact in each term."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = _checked_eval("source", spec.source, t, x)
+    out = spec.source(t, x)
     if spec.z_slope is not None:
-        out = out + _checked_eval("z_slope", spec.z_slope, t, x) * z
+        out = out + spec.z_slope(t, x) * z
     if spec.y_term is not None:
-        out = out - _checked_eval("y_term", spec.y_term, t, y)
-    out = out - 0.5 * _checked_eval("z_quad", spec.z_quad, t) * z ** 2
+        out = out - spec.y_term(t, y)
+    out = out - 0.5 * spec.z_quad(t) * z ** 2
     return out if np.ndim(out) else float(out)
 
 
@@ -205,14 +188,14 @@ def girsanov_shifted_driver(spec: DriverSpec, fwd: ForwardSpec) -> DriverSpec:
     base = spec.z_slope
 
     def shifted(t, x):
-        sig = fwd.diffusion(t, x)
+        sig = fwd.sigma(t, x)
         if np.any(sig == 0.0):
             tb, xb = np.broadcast_arrays(t, x)
             bad = int(np.argmax(np.atleast_1d(sig) == 0.0))
             point = (float(tb.flat[bad]), float(xb.flat[bad]))
             raise DomainError(
                 f"sigma(t, x) = 0 at {point}; drift elimination is inapplicable there")
-        out = fwd.drift(t, x) / sig
+        out = fwd.mu(t, x) / sig
         if base is not None:
             out = out + base(t, x)
         return out
@@ -331,12 +314,13 @@ def check_driver_assumptions(
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
-    phi = phi_candidate if callable(phi_candidate) else (lambda t, _v=float(phi_candidate): _v)
+    kappa = _full_field(kappa_candidate, "kappa_candidate")
+    phi = _full_field(phi_candidate, "phi")
     ts, xs, uv = grid.t, grid.x, grid.uv
 
     def z_quad_positive():
         # positive, bounded away from zero, with a derivative-continuity probe
-        H = _checked_eval("z_quad", spec.z_quad, ts)
+        H = spec.z_quad(ts)
         if np.any(H <= FLOOR_TOL):
             i = int(np.argmax(H <= FLOOR_TOL))
             return ClauseVerdict("z_quad_positive", False, witness=(float(ts[i]),),
@@ -347,7 +331,7 @@ def check_driver_assumptions(
             eta = 1e-7 * max(1.0, abs(t))
             if t - eta <= 0.0 or t + eta >= fwd.horizon:
                 continue
-            lo, mid, hi = (_checked_eval("z_quad", spec.z_quad, s) for s in (t - eta, t, t + eta))
+            lo, mid, hi = (spec.z_quad(s) for s in (t - eta, t, t + eta))
             fdiff = (hi - mid) / eta
             bdiff = (mid - lo) / eta
             tol = 1e-6 * max(abs(fdiff), abs(bdiff), scale)
@@ -361,7 +345,7 @@ def check_driver_assumptions(
 
     def source_nonnegative():
         for t in ts:
-            fvals = _checked_eval("source", spec.source, t, xs)
+            fvals = spec.source(t, xs)
             if np.any(fvals < 0.0):
                 i = int(np.argmax(fvals < 0.0))
                 return ClauseVerdict("source_nonnegative", False,
@@ -378,15 +362,15 @@ def check_driver_assumptions(
         mask = uu != vv
         uu, vv = uu[mask], vv[mask]
         gap = np.abs(uu - vv)
-        kap = _checked_eval("kappa_candidate", kappa_candidate, gap ** 2)
+        kap = kappa(gap ** 2)
         for t in ts:
-            Ht = _checked_eval("z_quad", spec.z_quad, t)
+            Ht = spec.z_quad(t)
             if Ht <= 0.0:
                 continue   # clause (i) already witnesses this t
-            lu = _checked_eval("y_term", spec.y_term, t, M - np.log(uu) / Ht)
-            lv = _checked_eval("y_term", spec.y_term, t, M - np.log(vv) / Ht)
+            lu = spec.y_term(t, M - np.log(uu) / Ht)
+            lv = spec.y_term(t, M - np.log(vv) / Ht)
             lhs = 2.0 * gap * np.abs(uu * lu - vv * lv)
-            rhs = float(_checked_eval("phi", phi, t)) * kap
+            rhs = float(phi(t)) * kap
             slack = 1e-12 * (1.0 + np.abs(rhs))
             bad = lhs > rhs + slack
             if np.any(bad):
@@ -394,12 +378,12 @@ def check_driver_assumptions(
                 return ClauseVerdict(
                     "y_term_modulus_bound", False,
                     witness=(float(t), float(uu[i]), float(vv[i])),
-                    observed=float(lhs[i]), threshold=float(np.atleast_1d(rhs)[min(i, np.atleast_1d(rhs).size - 1)]),
+                    observed=float(lhs[i]), threshold=float(rhs[i]),
                     detail="modulus inequality fails at the witness (t, u, v)")
         return ClauseVerdict("y_term_modulus_bound", True)
 
     def terminal_above_floor():
-        gvals = _checked_eval("terminal", spec.terminal, xs)
+        gvals = spec.terminal(xs)
         low = spec.value_floor - TERMINAL_TOL
         if np.any(gvals < low):
             i = int(np.argmax(gvals < low))
@@ -413,16 +397,16 @@ def check_driver_assumptions(
         hmax = 0.0
         if spec.z_slope is not None:
             for t in ts:
-                hmax = max(hmax, float(np.max(np.abs(_checked_eval("z_slope", spec.z_slope, t, xs)))))
+                hmax = max(hmax, float(np.max(np.abs(spec.z_slope(t, xs)))))
         return ClauseVerdict("z_slope_bounded", True, observed=hmax,
                              detail=f"empirical bound {hmax:.6g} on the sampled grid")
 
     def source_dominates_z_slope():
         # 2 z_quad source - z_slope^2 / gamma >= 0
         for t in ts:
-            Ht = _checked_eval("z_quad", spec.z_quad, t)
-            hv = _checked_eval("z_slope", spec.z_slope, t, xs) if spec.z_slope is not None else 0.0
-            expr = 2.0 * Ht * _checked_eval("source", spec.source, t, xs) - hv ** 2 / gamma
+            Ht = spec.z_quad(t)
+            hv = spec.z_slope(t, xs) if spec.z_slope is not None else 0.0
+            expr = 2.0 * Ht * spec.source(t, xs) - hv ** 2 / gamma
             if np.any(expr < -FLOOR_TOL):
                 i = int(np.argmax(expr < -FLOOR_TOL))
                 return ClauseVerdict("source_dominates_z_slope", False,

@@ -7,7 +7,9 @@ on any execution schedule.  Ensembles are therefore reproducible bit for bit.
 
 The tamed scheme divides the drift by (1 + dt |drift|) per step, the standard
 guard for superlinear (e.g. cubic) drifts under which plain explicit stepping
-can explode.
+can explode.  A blow-up (a non-finite state, or a coefficient overflowing on
+an exploding path) is a ``SimulationError`` naming the path, the step and the
+coefficient; a coefficient NaN at a finite state raises ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SimulationError
+from .errors import DomainError, EvaluationError, SimulationError
 from .problem import ForwardSpec
 
 # Paths per RNG block; fixed so path content is independent of n_paths.
@@ -113,19 +115,24 @@ def _march(fwd: ForwardSpec, grid: TimeGrid, dW: np.ndarray, scheme: str) -> np.
     x = states[:, 0].copy()
     for k in range(n_steps):
         t = times[k]
-        mu = fwd.mu(t, x)
-        if scheme == "tamed_euler":
-            mu = mu / (1.0 + dt * np.abs(mu))
-        x = x + mu * dt + fwd.sigma(t, x) * dW[:, k]
-        bad = ~np.isfinite(x)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise SimulationError(
-                i, k + 1,
-                f"non-finite state at path {i}, step {k + 1} (t={times[k + 1]:.6g}); "
-                f"the drift may be superlinear; try scheme='tamed_euler'",
-            )
-        states[:, k + 1] = x
+        try:
+            mu = fwd.mu(t, x)
+            if scheme == "tamed_euler":
+                mu = mu / (1.0 + dt * np.abs(mu))
+            x = x + mu * dt + fwd.sigma(t, x) * dW[:, k]
+        except EvaluationError as exc:
+            if not np.isinf(exc.value):   # undefined at a finite state: not a blow-up
+                raise
+            i, cause = exc.index, f": coefficient {exc.coefficient!r} overflowed at {exc.point}"
+        else:
+            bad = ~np.isfinite(x)
+            if not np.any(bad):
+                states[:, k + 1] = x
+                continue
+            i, cause = int(np.argmax(bad)), ""
+        raise SimulationError(i, k + 1, f"non-finite state at path {i}, step {k + 1} "
+                              f"(t={times[k + 1]:.6g}){cause}; the drift may be superlinear; "
+                              f"try scheme='tamed_euler'")
     return states
 
 

@@ -158,8 +158,11 @@ class TestSolveLsmc:
 def test_non_finite_terminal_rejected(solve):
     ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 1000, seed=16)
     spec = driver(z_quad=1.0, terminal=lambda x: np.where(x > 1.0, np.nan, x ** 2))
-    with pytest.raises(DomainError, match="terminal values are not finite"):
+    with pytest.raises(EvaluationError) as err:
         solve(ens, spec, fl.BasisSpec("polynomial", 2))
+    first = int(np.argmax(ens.states[:, -1] > 1.0))   # the witness: the first bad path's X_T
+    assert err.value.coefficient == "terminal"
+    assert err.value.point == (ens.states[first, -1],) and err.value.index == first
 
 
 class TestDesignMemo:

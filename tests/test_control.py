@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fbsdelab as fl
-from fbsdelab.errors import DomainError
+from fbsdelab.errors import DomainError, EvaluationError
 
 
 class TestRiccati:
@@ -161,3 +161,14 @@ class TestComparePolicies:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "policy,mean_cost,stderr,paired_diff_vs_best,paired_stderr_vs_best"
         assert len(lines) == 3
+
+    def test_non_finite_target_stops_the_ranking(self):
+        # ln(t - 0.5) is NaN before t = 0.5: the ranking must not come out as NaN rows
+        cps = fl.ControlProblemSpec(A=0.0, B=1.0, sigma=1.0, delta=0.0,
+                                    target=fl.parse_expression("ln(t - 0.5)"),
+                                    control_weight=1.0, terminal_weight=0.0,
+                                    x0=1.0, horizon=1.0)
+        policies = [fl.ControlPolicy.zero(), fl.ControlPolicy.constant(0.5)]
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+            fl.compare_policies(cps, policies, fl.TimeGrid(0.0, 1.0, 16), 500, seed=3)
+        assert (err.value.coefficient, err.value.point) == ("target", (0.0,))

@@ -147,6 +147,59 @@ class TestLsmcEstimate:
         assert est.disc_err == max(shifts)
 
 
+class TestLostProbes:
+    """A probe whose solve fails is recorded and left out of the error budget."""
+
+    num = light_numerics(n_paths=4000, n_steps=16)
+
+    def failing_where(self, monkeypatch, fails):
+        def solve(ens, spec, basis, **kw):
+            if fails(ens, basis):
+                raise SolverError("backward recursion produced non-finite values at step 3; "
+                                  "use fewer knots", step=3)
+            return fl.solve_lsmc(ens, spec, basis, **kw)
+
+        monkeypatch.setattr(harness, "solve_lsmc", solve)
+
+    def test_diverging_replicate_probe_is_recorded(self, benchmark_setup):
+        # the job whose replicate solve aborted the seeds 21..25 uniqueness run
+        num = light_numerics(n_paths=20_000, n_steps=64)
+        job = ("direct", 24, fl.BasisSpec("piecewise_linear", n_knots=10))
+        meta = {}
+        (est,) = harness._lsmc_estimates(benchmark_setup, num, [job], meta)
+        assert meta["lost_probes"] == [
+            "direct, seed 24, piecewise_linear:10, 20000 paths: replicate probe failed "
+            "(backward recursion produced non-finite values at step 12)"]
+        assert 0.0 < est.disc_err < 0.05
+
+    def test_richer_probe_lost_when_both_candidates_fail(self, benchmark_setup, monkeypatch):
+        num = self.num
+        self.failing_where(monkeypatch, lambda ens, basis: basis != num.basis)
+        meta = {}
+        (est,) = harness._lsmc_estimates(benchmark_setup, num, [("direct", num.seed, num.basis)],
+                                         meta)
+        assert meta["lost_probes"] == [
+            "direct, seed 101, polynomial:2, 4000 paths: richer-basis probe failed "
+            "(backward recursion produced non-finite values at step 3)"]
+        fwd, drv = benchmark_setup.forward, benchmark_setup.driver
+
+        def y0(steps, seed):
+            ens = fl.simulate(fwd, fl.TimeGrid(0.0, fwd.horizon, steps), num.n_paths, seed)
+            return fl.solve_lsmc(ens, drv, num.basis).y0
+
+        base = y0(16, num.seed)
+        assert est.disc_err == max(abs(base - y0(16, num.seed + _REPLICATE_OFFSET)),
+                                   abs(base - y0(8, num.seed)))
+
+    def test_a_job_that_loses_every_probe_raises(self, benchmark_setup, monkeypatch):
+        num = self.num
+        self.failing_where(monkeypatch, lambda ens, basis: (ens.seed, ens.n_steps, basis) != (
+            num.seed, num.n_steps, num.basis))
+        with pytest.raises(SolverError, match=r"every error probe of direct \(seed 101, "
+                                              r"polynomial:2\) failed"):
+            _lsmc_estimate(benchmark_setup, num, "direct")
+
+
 class TestSharedEnsembles:
     num = light_numerics(n_paths=4000, n_steps=16, n_space=101, pde_steps=50)
 

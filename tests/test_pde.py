@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fbsdelab as fl
-from fbsdelab.errors import DomainError, SolverError
+from fbsdelab.errors import DomainError, EvaluationError, SolverError
 
 
 def heat_parts():
@@ -115,8 +115,9 @@ class TestSolvePde:
         fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
         drv = fl.DriverSpec(source=0.0, z_quad=0.0,
                             terminal=lambda x: np.where(x > 2.9, np.inf, x))
-        with pytest.raises(SolverError):
+        with pytest.raises(EvaluationError) as err:
             fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 31), fl.TimeGrid(0, 1, 4))
+        assert (err.value.coefficient, err.value.point) == ("terminal", (3.0,))
 
     def test_newton_divergence_reports_time_index(self, benchmark_setup, monkeypatch):
         monkeypatch.setattr("fbsdelab.pde.NEWTON_MAX_ITER", 1)

@@ -7,11 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
 from fbsdelab.errors import DomainError, EvaluationError
+from fbsdelab.problem import _full_field
 
 
 def make_driver(source=0.0, z_slope=None, y_term=None, z_quad=0.0, terminal=0.0, floor=0.0):
     return fl.DriverSpec(source=source, z_quad=z_quad, terminal=terminal,
                          z_slope=z_slope, y_term=y_term, value_floor=floor)
+
+
+def control_spec(A=0.0, B=1.0, sigma=1.0, target=0.0, control_weight=1.0):
+    return fl.ControlProblemSpec(A=A, B=B, sigma=sigma, delta=0.0, target=target,
+                                 control_weight=control_weight, terminal_weight=0.0,
+                                 x0=1.0, horizon=1.0)
 
 
 class TestEvalDriver:
@@ -194,9 +201,11 @@ class TestAssumptionChecker:
         assert not report.satisfied
         assert verdict.detail == "non-finite value"
         assert verdict.witness == witness
-        with np.errstate(invalid="ignore"):
-            assert not np.isfinite((phi if name == "phi" else getattr(spec, name))(
-                *np.array(witness)))
+        # re-evaluated at the witness, the coefficient raises there, naming itself
+        field = _full_field(phi, "phi") if name == "phi" else getattr(spec, name)
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+            field(*witness)
+        assert (err.value.coefficient, err.value.point) == (name, witness)
 
     def test_modulus_clause_violation_witness_reproduces(self):
         # a steep y-nonlinearity against a tiny phi budget must fail
@@ -283,6 +292,37 @@ class TestSpecs:
         # the normalised coefficient is still a function of time to difference
         drv = make_driver(z_quad=fl.parse_expression("0.5 + 0.25*t"))
         assert time_derivative(drv.z_quad, 0.3) == pytest.approx(0.25, rel=1e-8)
+
+    # every coefficient a spec names, with the arguments it takes
+    NAMED = [
+        ("mu", ("t", "x"), lambda c: fl.ForwardSpec(mu=c, sigma=1.0, x0=0.0, horizon=1.0).mu),
+        ("sigma", ("t", "x"), lambda c: fl.ForwardSpec(mu=0.0, sigma=c, x0=0.0, horizon=1.0).sigma),
+        ("source", ("t", "x"), lambda c: make_driver(source=c).source),
+        ("z_quad", ("t",), lambda c: make_driver(z_quad=c).z_quad),
+        ("terminal", ("x",), lambda c: make_driver(terminal=c).terminal),
+        ("z_slope", ("t", "x"), lambda c: make_driver(z_slope=c).z_slope),
+        ("y_term", ("t", "y"), lambda c: make_driver(y_term=c).y_term),
+        ("A", ("t",), lambda c: control_spec(A=c).A),
+        ("B", ("t",), lambda c: control_spec(B=c).B),
+        ("sigma", ("t",), lambda c: control_spec(sigma=c).sigma),
+        ("target", ("t",), lambda c: control_spec(target=c).target),
+        ("control_weight", ("t",), lambda c: control_spec(control_weight=c).control_weight),
+        ("law", ("t", "x"), lambda c: fl.ControlPolicy("p", c).law),
+    ]
+
+    @pytest.mark.parametrize("name, arguments, field", NAMED,
+                             ids=[f"{n}({','.join(a)})" for n, a, _ in NAMED])
+    def test_non_finite_value_names_coefficient_and_first_point(self, name, arguments, field):
+        # NaN where the last argument exceeds 0.6: the first bad point is its 0.75
+        nan_late = lambda *args: np.where(args[-1] > 0.6, np.nan, 1.0)
+        args = (0.25,) * (len(arguments) - 1) + (np.linspace(0.0, 1.0, 5),)
+        with pytest.raises(EvaluationError) as err:
+            field(nan_late)(*args)
+        # control_weight raises in its spec's constructor, at the first of 65 sample times > 0.6
+        expected = ((39 / 64,) if name == "control_weight"
+                    else (0.25,) * (len(arguments) - 1) + (0.75,))
+        assert (err.value.coefficient, err.value.point) == (name, expected)
+        assert "produced a non-finite value at" in str(err.value)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

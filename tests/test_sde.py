@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
 from fbsdelab.control import _per_path_costs
-from fbsdelab.errors import DomainError, SimulationError
+from fbsdelab.errors import DomainError, EvaluationError, SimulationError
 from fbsdelab.sde import brownian_increments
 
 
@@ -117,6 +117,29 @@ class TestSimulate:
         assert err.value.path_index >= 0
         assert err.value.step >= 1
         assert "tamed" in str(err.value)
+
+    @pytest.mark.parametrize("name, fwd, at", [
+        ("mu", fl.ForwardSpec(mu=lambda t, x: x ** 3, sigma=0.0, x0=10.0, horizon=4.0), 6),
+        ("sigma", fl.ForwardSpec(mu=0.0, sigma=lambda t, x: np.exp(x ** 2), x0=30.0,
+                                 horizon=4.0), 1),
+    ])
+    def test_overflowing_coefficient_is_a_named_blow_up(self, name, fwd, at):
+        with np.errstate(over="ignore"), pytest.raises(SimulationError) as err:
+            fl.simulate(fwd, fl.TimeGrid(0, 4, 8), 4, seed=0, scheme="euler")
+        assert (err.value.path_index, err.value.step) == (0, at)
+        assert f"coefficient {name!r} overflowed at ({0.5 * (at - 1)}, " in str(err.value)
+        assert "tamed" in str(err.value)
+
+    def test_nan_coefficient_is_named_not_a_blow_up(self):
+        # sigma is NaN below x = -3, where paths go; the drift is 0 and the march tamed
+        fwd = fl.ForwardSpec(mu=0.0, sigma=fl.parse_expression("1 + ln(x + 3)"),
+                             x0=0.0, horizon=1.0)
+        grid = fl.TimeGrid(0, 1, 16)
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+            fl.simulate(fwd, grid, 2000, seed=1)
+        t, x = err.value.point
+        assert err.value.coefficient == "sigma" and t in grid.times() and x < -3.0
+        assert f"'sigma' produced a non-finite value at {(t, x)}" in str(err.value)
 
     def test_taming_keeps_cubic_drift_finite(self):
         fwd = fl.ForwardSpec(mu=lambda t, x: x ** 3, sigma=0.0, x0=10.0, horizon=4.0)
