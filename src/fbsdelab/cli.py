@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bsde import BasisSpec
 from .errors import ConfigError, DomainError, FbsdeLabError
 from .expressions import ExpressionError, parse_expression
@@ -227,14 +225,6 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
                       default=numerics.n_space, minimum=3)
     pde_steps = _number(numerics_sec, "pde_steps", errs, "numerics", int,
                         default=0, minimum=0)
-    span = _number(numerics_sec, "space_span", errs, "numerics", float,
-                   default=numerics.space_span, minimum=0.1)
-    x_lo = _number(numerics_sec, "x_lo", errs, "numerics", float, default=np.nan)
-    x_hi = _number(numerics_sec, "x_hi", errs, "numerics", float, default=np.nan)
-    if np.isnan(x_lo) != np.isnan(x_hi):
-        errs.add("numerics.x_lo, numerics.x_hi: give both or neither")
-    elif x_lo >= x_hi:   # False when both are unset (nan)
-        errs.add(f"numerics.x_lo: must be below numerics.x_hi, got {x_lo!r} >= {x_hi!r}")
     seed = _number(numerics_sec, "seed", errs, "numerics", int, default=numerics.seed)
     basis_raw, basis_line = _take(numerics_sec, "basis")
     basis = numerics.basis
@@ -287,6 +277,8 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
             bases = [_basis_from_label(part) for part in bases_raw.split(",") if part.strip()]
         except (ValueError, DomainError) as exc:
             errs.add(f"experiment.bases: {exc}", bases_line)
+    if len(set(bases)) < len(bases):
+        errs.add(f"experiment.bases: bases must be distinct, got {bases_raw!r}", bases_line)
     if experiment == "feynman_kac" and routes is not None and len(set(routes)) < 2:
         errs.add(f"experiment.routes: feynman_kac compares at least 2 distinct routes, "
                  f"got {routes}", routes_line)
@@ -334,32 +326,22 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     assert setup is not None
     num = Numerics(
         n_paths=n_paths, n_steps=n_steps, n_space=n_space,
-        pde_steps=pde_steps or None, space_span=span,
-        x_lo=None if np.isnan(x_lo) else x_lo,
-        x_hi=None if np.isnan(x_hi) else x_hi,
-        basis=basis, pde_scheme=pde_scheme, seed=seed)
+        pde_steps=pde_steps or None, basis=basis, pde_scheme=pde_scheme, seed=seed)
     return RunConfig(setup=setup, control=control, numerics=num,
                      experiment=experiment, routes=routes, deltas=deltas,
                      seeds=seeds, bases=bases, gamma=gamma, kappa=kappa,
                      phi=0.0 if phi is None else phi, out_dir=out_dir)
 
 
-def _run_check_condition(config: RunConfig):
-    setup = config.setup
-    fwd = setup.forward
-    sgrid = config.numerics.space_grid(fwd)
-    grid = SampleGrid.regular(fwd.horizon, sgrid.x_lo, sgrid.x_hi)
-    report = check_driver_assumptions(
-        setup.driver, fwd, grid, kappa_candidate=config.kappa,
-        phi_candidate=config.phi, gamma=config.gamma)
-    return report
-
-
 def run(config: RunConfig) -> int:
     """Execute the configured experiment; artifacts land in config.out_dir."""
     os.makedirs(config.out_dir, exist_ok=True)
     if config.experiment == "check_condition":
-        report = _run_check_condition(config)
+        fwd = config.setup.forward
+        sgrid = config.numerics.space_grid(fwd)   # the checker samples the PDE's extent
+        report = check_driver_assumptions(
+            config.setup.driver, fwd, SampleGrid.regular(fwd.horizon, sgrid.x_lo, sgrid.x_hi),
+            kappa_candidate=config.kappa, phi_candidate=config.phi, gamma=config.gamma)
         path = os.path.join(config.out_dir, "condition_report.txt")
         with open(path, "w") as fh:
             fh.write(report.summary() + "\n")

@@ -51,24 +51,19 @@ class ProblemSetup:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Resolution bundle shared by the routes."""
+    """Resolution bundle shared by the routes; the PDE grid's extent is derived, not set."""
 
     n_paths: int = 100_000
     n_steps: int = 64
     n_space: int = 401
     pde_steps: int | None = None   # PDE time resolution; None = max(400, n_steps)
-    space_span: float = 8.0      # half-width in diffusion-scale standard deviations
-    x_lo: float | None = None    # explicit truncation overrides the span
-    x_hi: float | None = None
     basis: BasisSpec = field(default_factory=BasisSpec)
     pde_scheme: str = "auto"
     boundary: str = "linear_extrapolation"
     seed: int = 20240801
 
     def space_grid(self, fwd: ForwardSpec) -> SpaceGrid:
-        if self.x_lo is not None and self.x_hi is not None:
-            return SpaceGrid(self.x_lo, self.x_hi, self.n_space)
-        return SpaceGrid.spanning(fwd, n_points=self.n_space, n_sigmas=self.space_span)
+        return SpaceGrid.spanning(fwd, n_points=self.n_space)
 
     def time_grid(self, fwd: ForwardSpec) -> TimeGrid:
         return TimeGrid(0.0, fwd.horizon, self.n_steps)
@@ -224,8 +219,9 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
     every job (the base: its base solve, then its richer-basis probe) and are
     freed before the next exists.  girsanov needs driftless paths: it shares
     an ensemble where mu is exactly 0 on it, else gets its own with mu = 0.
-    Each ensemble solves each distinct (driver, basis) once; where sigma != 0
-    too, girsanov's driver is direct's and it takes direct's solves (``meta``).
+    Each ensemble solves each distinct (driver, basis) once, a failing one
+    included; where sigma != 0 too, girsanov's driver is direct's and it takes
+    direct's solves (``meta``), their failures as well.
     """
     fwd = setup.forward
     tgrid = numerics.time_grid(fwd)
@@ -245,8 +241,13 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
             _check_driftless(ens, fwd)   # girsanov's own checks and errors come first
             route, meta["girsanov"] = "direct", "direct's solves (mu == 0 on every path)"
         if (route, basis) not in solved:   # solved and as_direct: the current ensemble's
-            sol = solvers[route](ens, setup.driver, basis)
-            solved[route, basis] = sol.y0, sol.y0_stderr
+            try:
+                sol = solvers[route](ens, setup.driver, basis)
+                solved[route, basis] = sol.y0, sol.y0_stderr
+            except SolverError as exc:   # girsanov may ask for direct's failed solve too
+                solved[route, basis] = exc
+        if isinstance(solved[route, basis], SolverError):
+            raise solved[route, basis]
         return solved[route, basis]
 
     def run(ens, job, probe):
@@ -342,7 +343,13 @@ def run_feynman_kac_check(
     tgrid = numerics.time_grid(setup.forward)
     if routes is None:
         routes = _applicable_routes(setup, tgrid)
-    # the other routes, and unknown names' errors, come before any LSMC ensemble
+    for route in routes:   # every name and the route count are checked before any estimate
+        if route not in ROUTES:
+            raise DomainError(f"unknown route {route!r}")
+    if len(set(routes)) < 2:
+        raise DomainError(f"need at least 2 distinct routes to compare, "
+                          f"got {list(dict.fromkeys(routes))}")
+    # the other routes come before any LSMC ensemble
     estimates = {r: None if r in LSMC_ROUTES else estimate_route(setup, numerics, r) for r in routes}
     jobs = [(r, numerics.seed, numerics.basis) for r in estimates if r in LSMC_ROUTES]
     meta = {
@@ -351,8 +358,6 @@ def run_feynman_kac_check(
         "basis": numerics.basis.label(),
     }
     estimates.update((est.route, est) for est in _lsmc_estimates(setup, numerics, jobs, meta))
-    if len(estimates) < 2:
-        raise DomainError(f"need at least 2 distinct routes to compare, got {list(estimates)}")
     verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
                 for a, b, gap, tol in _pairs(list(estimates.values()),
                                              lambda e: (e.value, e.total_err))]
@@ -379,8 +384,10 @@ def run_uniqueness_check(
         raise DomainError("need at least 2 bases")
     if not routes:
         raise DomainError("need at least 1 route, got an empty route list")
-    if len(set(routes)) < len(routes):   # a repeat would count as one more independent row
-        raise DomainError(f"routes must be distinct, got {list(routes)}")
+    # a repeat would count as one more independent row
+    for noun, items in (("seeds", seed_list), ("bases", basis_list), ("routes", routes)):
+        if len(set(items)) < len(items):
+            raise DomainError(f"{noun} must be distinct, got {list(items)}")
 
     def collect(num: Numerics):
         jobs = [(route, seed, basis)
@@ -448,12 +455,8 @@ def run_delta_sweep(
         setup = ProblemSetup.from_control(sub, label=f"delta={delta:g}")
         return _pde_estimate(setup, numerics)
 
-    table = []
-    values = {}
-    for d in uniq:
-        est = pde_value(d)
-        values[d] = est
-        table.append([d, est.value, est.disc_err])
+    values = {d: pde_value(d) for d in uniq}
+    table = [[d, est.value, est.disc_err] for d, est in values.items()]
 
     verdicts = []
     meta = {

@@ -33,6 +33,8 @@ PDE_SCHEMES = ("imex", "newton_implicit", "auto")
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
 STIFFNESS_SWITCH = 0.1   # auto: use Newton when z_quad * dt * max|v_x| exceeds this
+N_SIGMAS = 8.0           # spanning: half-width in diffusion-scale standard deviations
+DRIFT_STEPS = 256        # spanning: Euler steps of the drift's noiseless path
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,26 @@ class SpaceGrid:
         return SpaceGrid(self.x_lo, self.x_hi, (self.n_points - 1) * factor + 1)
 
     @classmethod
-    def spanning(cls, fwd: ForwardSpec, n_points: int = 401, n_sigmas: float = 8.0) -> "SpaceGrid":
-        """Default truncation: x0 +/- n_sigmas * (diffusion scale) * sqrt(T).
+    def spanning(cls, fwd: ForwardSpec, n_points: int = 401) -> "SpaceGrid":
+        """Truncation x0 +/- 8 (diffusion scale) sqrt(T), widened to hold the drift's
+        noiseless path with half that half-width around it; a path that stays
+        within that band of x0 (a zero or mild restoring drift) keeps the window.
 
         Eight standard deviations keep the boundary's influence at the center
-        negligible for diffusive problems.
+        negligible for diffusive problems.  Each Euler step of the path is capped
+        at the half-width, so it stays finite under an exploding drift; a tamed
+        step would fall short of a strong drift's path by 1 / (1 + dt |mu|).
         """
         T = fwd.horizon
         probe = [abs(float(fwd.sigma(t, fwd.x0))) for t in (0.0, 0.5 * T, T)]
         scale = max(max(probe), 1e-2)
-        half = n_sigmas * scale * np.sqrt(T)
-        return cls(fwd.x0 - half, fwd.x0 + half, n_points)
+        half = N_SIGMAS * scale * np.sqrt(T)
+        dt = T / DRIFT_STEPS
+        x = lo = hi = fwd.x0
+        for t in dt * np.arange(DRIFT_STEPS):
+            x += min(max(float(fwd.mu(t, x)) * dt, -half), half)
+            lo, hi = min(lo, x), max(hi, x)
+        return cls(min(fwd.x0 - half, lo - half / 2), max(fwd.x0 + half, hi + half / 2), n_points)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ The tamed scheme divides the drift by (1 + dt |drift|) per step, the standard
 guard for superlinear (e.g. cubic) drifts under which plain explicit stepping
 can explode.  A blow-up (a non-finite state, or a coefficient overflowing on
 an exploding path) is a ``SimulationError`` naming the path, the step and the
-coefficient; a coefficient NaN at a finite state raises ``EvaluationError``.
+coefficient (and, under plain Euler, the tamed scheme as the remedy); a
+coefficient NaN at a finite state raises ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ def _march(fwd: ForwardSpec, grid: TimeGrid, dW: np.ndarray, scheme: str) -> np.
                 states[:, k + 1] = x
                 continue
             i, cause = int(np.argmax(bad)), ""
+        if scheme == "euler":   # under tamed_euler the remedy is already applied
+            cause += "; the drift may be superlinear; try scheme='tamed_euler'"
         raise SimulationError(i, k + 1, f"non-finite state at path {i}, step {k + 1} "
-                              f"(t={times[k + 1]:.6g}){cause}; the drift may be superlinear; "
-                              f"try scheme='tamed_euler'")
+                              f"(t={times[k + 1]:.6g}){cause}")
     return states
 
 

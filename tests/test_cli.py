@@ -86,9 +86,7 @@ class TestParseConfig:
         # MINIMAL_LQR ends inside [experiment], so bare keys land there
         cases = [
             ("[numerics]\nn_paths = 0", "numerics.n_paths: must be >= 1"),
-            ("[numerics]\nx_lo = -3", "give both or neither"),
-            ("[numerics]\nx_hi = 3", "give both or neither"),
-            ("[numerics]\nx_lo = 3\nx_hi = 3", "numerics.x_lo: must be below"),
+            ("[numerics]\nx_lo = -3", "unknown key numerics.x_lo"),
             ("routes = pde,quantum", "experiment.routes: unknown route 'quantum'"),
             ("deltas = 0,-0.1", "experiment.deltas: must be >= 0"),
             ("seeds = 1.2,1.7,2.9", "experiment.seeds: expected comma-separated integers"),
@@ -205,6 +203,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and message in err
+
+    def test_repeated_bases_exit_2(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "lqr_uniqueness.cfg").read_text()
+        old = "bases = polynomial:4,piecewise_linear:10"
+        assert old in text
+        path = tmp_path / "u.cfg"
+        path.write_text(text.replace(old, "bases = polynomial:4,polynomial:4"))
+        code = self.run_main("run", str(path), "--out-dir", str(tmp_path / "x"),
+                             "--paths", "500", "--steps", "4")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert "experiment.bases: bases must be distinct, got 'polynomial:4,polynomial:4'" in err
 
     def test_uniqueness_runs_only_the_configured_routes(self, tmp_path, capsys):
         # z_quad = 0 here, so a transformed row would end the run with an error

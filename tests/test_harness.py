@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fbsdelab as fl
 import fbsdelab.harness as harness
+from fbsdelab.cli import parse_config
 from fbsdelab.errors import DomainError, SolverError
 from fbsdelab.harness import _REPLICATE_OFFSET, _lsmc_estimate, _richer_candidates
 
@@ -116,6 +118,53 @@ class TestFeynmanKac:
                                      light_numerics(n_space=41, pde_steps=20),
                                      routes=routes)
 
+    def test_route_count_checked_before_any_estimate(self, benchmark_setup, monkeypatch):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return fl.solve_pde(*args, **kw)
+
+        monkeypatch.setattr(harness, "solve_pde", counting)
+        with pytest.raises(DomainError, match=r"need at least 2 distinct routes to compare, "
+                                              r"got \['pde'\]"):
+            fl.run_feynman_kac_check(benchmark_setup, light_numerics(n_space=41, pde_steps=20),
+                                     routes=["pde", "pde"])
+        assert calls == []
+
+
+class TestPdeGrid:
+    """The PDE grid covers where the forward paths go, derived from the problem alone."""
+
+    def test_drifting_problem_is_solved_on_its_paths(self):
+        # mu = 5, sigma = 0.1: X_T ~ N(5, 0.01), so v(0, 0) = E[X_T^2] = 25.01; a grid
+        # centred on x0 alone reported 7.30 +/- 0.05 here
+        fwd = fl.ForwardSpec(mu=5.0, sigma=0.1, x0=0.0, horizon=1.0)
+        drv = fl.DriverSpec(source=0.0, z_quad=1e-6, terminal=lambda x: x ** 2)
+        setup = fl.ProblemSetup(label="drift", forward=fwd, driver=drv)
+        est = harness.estimate_route(setup, fl.Numerics(n_space=201, pde_steps=200), "pde")
+        assert abs(est.value - 25.01) <= 3.0 * est.disc_err
+
+    @pytest.mark.parametrize("name, extent", [
+        ("heat", (-8.0, 8.0, 401)),
+        ("lqr_condition", (-7.0, 9.0, 201)),
+        ("lqr_delta0", (-7.0, 9.0, 401)),
+        ("lqr_delta01", (-7.0, 9.0, 401)),
+        ("lqr_sweep", (-7.0, 9.0, 401)),
+        ("lqr_uniqueness", (-7.0, 9.0, 401)),
+    ])
+    def test_shipped_grids_keep_their_extent(self, name, extent):
+        # zero and restoring drifts keep the diffusive window x0 +/- 8 sigma sqrt(T)
+        root = Path(__file__).resolve().parent.parent
+        cfg = parse_config((root / "configs" / f"{name}.cfg").read_text())
+        g = cfg.numerics.space_grid(cfg.setup.forward)
+        assert (g.x_lo, g.x_hi, g.n_points) == extent
+        if cfg.control is not None:
+            for delta in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4):
+                fwd = replace(cfg.control, delta=delta).uncontrolled_forward()
+                g = cfg.numerics.space_grid(fwd)
+                assert (g.x_lo, g.x_hi) == extent[:2], delta
+
 
 class TestLsmcEstimate:
     def test_richer_probe_reuses_the_base_ensemble(self, benchmark_setup, monkeypatch):
@@ -171,6 +220,27 @@ class TestLostProbes:
             "direct, seed 24, piecewise_linear:10, 20000 paths: replicate probe failed "
             "(backward recursion produced non-finite values at step 12)"]
         assert 0.0 < est.disc_err < 0.05
+
+    def test_failed_solve_is_not_rerun_for_girsanov(self, benchmark_setup, monkeypatch):
+        # girsanov takes direct's solves here (mu == 0), its failing replicate one too
+        failed = []
+
+        def recording_solve(ens, spec, basis, **kw):
+            try:
+                return fl.solve_lsmc(ens, spec, basis, **kw)
+            except SolverError:
+                failed.append((ens.seed, basis))
+                raise
+
+        monkeypatch.setattr(harness, "solve_lsmc", recording_solve)
+        num = light_numerics(n_paths=20_000, n_steps=64)
+        basis = fl.BasisSpec("piecewise_linear", n_knots=10)
+        meta = {}
+        harness._lsmc_estimates(benchmark_setup, num,
+                                [("direct", 24, basis), ("girsanov", 24, basis)], meta)
+        assert failed == [(24 + _REPLICATE_OFFSET, basis)]
+        assert [line.split(",")[0] for line in meta["lost_probes"]] == ["direct", "girsanov"]
+        assert all("replicate probe failed" in line for line in meta["lost_probes"])
 
     def test_richer_probe_lost_when_both_candidates_fail(self, benchmark_setup, monkeypatch):
         num = self.num
@@ -361,6 +431,23 @@ class TestUniqueness:
                 setup, light_numerics(n_paths=64), seed_list=[1, 2, 3],
                 basis_list=[fl.BasisSpec("polynomial", 1), fl.BasisSpec("polynomial", 2)],
                 routes=routes)
+        assert calls == []
+
+    @pytest.mark.parametrize("seeds, bases, message", [
+        ([1, 1, 2], [fl.BasisSpec("polynomial", 1), fl.BasisSpec("polynomial", 2)],
+         "seeds must be distinct"),
+        ([1, 2, 3], [fl.BasisSpec("polynomial", 2)] * 2, "bases must be distinct"),
+    ])
+    def test_repeated_seeds_or_bases_rejected_before_any_ensemble(self, monkeypatch, seeds,
+                                                                 bases, message):
+        # a repeat would be one more row with the same estimate, not an independent one
+        calls = count_simulations(monkeypatch)
+        fwd = fl.ForwardSpec(mu=0.0, sigma=0.0, x0=1.0, horizon=1.0)
+        drv = fl.DriverSpec(source=0.0, z_quad=0.0, terminal=2.0)
+        setup = fl.ProblemSetup(label="const", forward=fwd, driver=drv)
+        with pytest.raises(DomainError, match=message):
+            fl.run_uniqueness_check(setup, light_numerics(n_paths=64), seed_list=seeds,
+                                    basis_list=bases, routes=("direct",))
         assert calls == []
 
     def test_input_requirements(self, benchmark_setup):

@@ -33,10 +33,25 @@ class TestGrids:
 
     def test_spanning_default(self):
         fwd = fl.ForwardSpec(mu=0.0, sigma=0.5, x0=2.0, horizon=4.0)
-        g = fl.SpaceGrid.spanning(fwd, n_points=101, n_sigmas=8.0)
+        g = fl.SpaceGrid.spanning(fwd, n_points=101)
         assert g.x_lo == pytest.approx(2.0 - 8.0 * 0.5 * 2.0)
         assert g.x_hi == pytest.approx(2.0 + 8.0)
         assert g.x_lo < fwd.x0 < g.x_hi
+
+
+    @pytest.mark.parametrize("mu", [5.0, -5.0, 50.0])
+    def test_spanning_covers_the_drift_path(self, mu):
+        # X_T ~ N(mu, 0.1^2): the window x0 +/- 0.8 alone would miss it entirely, and a
+        # tamed drift path would fall short of 50 (41.8)
+        g = fl.SpaceGrid.spanning(fl.ForwardSpec(mu=mu, sigma=0.1, x0=0.0, horizon=1.0))
+        far, near = (g.x_hi, g.x_lo) if mu > 0 else (-g.x_lo, -g.x_hi)
+        assert abs(mu) + 0.2 <= far <= abs(mu) + 0.5
+        assert near == -0.8   # the grid only widens: the other side keeps the window
+
+    def test_spanning_keeps_the_window_for_a_restoring_drift(self):
+        fwd = fl.ForwardSpec(mu=lambda t, x: -x ** 3, sigma=1.0, x0=1.0, horizon=1.0)
+        g = fl.SpaceGrid.spanning(fwd, n_points=201)
+        assert (g.x_lo, g.x_hi, g.n_points) == (-7.0, 9.0, 201)
 
 
 class TestSolvePde:

@@ -130,6 +130,14 @@ class TestSimulate:
         assert f"coefficient {name!r} overflowed at ({0.5 * (at - 1)}, " in str(err.value)
         assert "tamed" in str(err.value)
 
+    def test_tamed_blow_up_gives_no_taming_advice(self):
+        # the default march is already tamed, so "try tamed_euler" would be wrong
+        fwd = fl.ForwardSpec(mu=0.0, sigma=lambda t, x: np.exp(x ** 2), x0=30.0, horizon=4.0)
+        with np.errstate(over="ignore"), pytest.raises(SimulationError) as err:
+            fl.simulate(fwd, fl.TimeGrid(0, 4, 8), 4, seed=0)
+        assert "coefficient 'sigma' overflowed at (0.0, 30.0)" in str(err.value)
+        assert "tamed" not in str(err.value) and "superlinear" not in str(err.value)
+
     def test_nan_coefficient_is_named_not_a_blow_up(self):
         # sigma is NaN below x = -3, where paths go; the drift is 0 and the march tamed
         fwd = fl.ForwardSpec(mu=0.0, sigma=fl.parse_expression("1 + ln(x + 3)"),
