@@ -24,7 +24,9 @@ normalized Gram.  That design depends only on the paths and the basis, so it
 is computed once per (ensemble, basis, step), memoised on the ensemble and
 shared by every solve on it, bit for bit.  All path arrays are column-major,
 so each step's column is contiguous.  The basis is scaled to the ensemble's
-state range, so no sample ever falls outside it.
+state range, so no sample ever falls outside it.  Each solver's ``estimate_only``
+keeps two alternating value columns instead of the paths x steps Y and Z, and
+returns y0, its stderr, the coefficients and the clamp counts, bit for bit.
 """
 
 from __future__ import annotations
@@ -173,11 +175,14 @@ def _implicit_y(f: Callable, m: np.ndarray, dt: float, step: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BackwardSolution:
-    """Estimated (Y, Z) along an ensemble, with per-step regression data."""
+    """Estimated (Y, Z) along an ensemble, with per-step regression data.
+
+    An estimate-only solve keeps no paths (Y and Z are None); the rest is bit for bit the same.
+    """
 
     grid: "object"
-    Y: np.ndarray
-    Z: np.ndarray
+    Y: np.ndarray | None
+    Z: np.ndarray | None
     route: str
     scheme: str
     basis: BasisSpec
@@ -186,22 +191,20 @@ class BackwardSolution:
     y0: float
     y0_stderr: float
     clamp_counts: np.ndarray
+    n_paths: int
     driver: DriverSpec = field(repr=False, default=None)
     seed: int | None = None   # the ensemble's, checked by martingale_residual
 
     def __post_init__(self):
         for name in ("Y", "Z", "clamp_counts"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_paths(self) -> int:
-        return self.Y.shape[0]
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name))
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def n_steps(self) -> int:
-        return self.Z.shape[1]
+        return self.grid.n_steps
 
 
 def _backward_recursion(
@@ -211,12 +214,15 @@ def _backward_recursion(
     basis_spec: BasisSpec,
     implicit: bool,
     clamp: tuple | None = None,
+    estimate_only: bool = False,
 ):
     """Shared backward loop; optionally clamps the value into a band per step.
 
     ``driver(t, x, z)`` is the step's driver in y.  Returns (V, Zc, y_coefs,
     z_coefs, clamp_counts, stderr_target, v0), v0 being the time-0 value: the
     common entry when every path starts at one state, the path mean otherwise.
+    Step k's values sit in V[:, k % width]; ``estimate_only`` alternates two columns, returning
+    V and Zc as None.
     """
     n_paths, n_steps = ens.dW.shape
     dt = ens.grid.dt
@@ -229,10 +235,11 @@ def _backward_recursion(
     lo, hi, degenerate = ens._memo["states"]
     basis = _Basis(basis_spec, lo, hi)
 
-    V = np.empty((n_paths, n_steps + 1), order="F")
-    Zc = np.zeros((n_paths, n_steps), order="F")
+    width = 2 if estimate_only else n_steps + 1
+    V = np.empty((n_paths, width), order="F")
+    Zc = None if estimate_only else np.zeros((n_paths, n_steps), order="F")
     targets = np.empty((n_paths, 2), order="F")   # (Y_{k+1}, Y_{k+1} dW_k)
-    V[:, n_steps] = terminal
+    V[:, n_steps % width] = terminal
     y_coefs: list = [None] * n_steps
     z_coefs: list = [None] * n_steps
     clamp_counts = np.zeros(n_steps + 1, dtype=int)
@@ -240,7 +247,7 @@ def _backward_recursion(
     for k in range(n_steps - 1, -1, -1):
         t = float(times[k])
         x = ens.states[:, k]
-        v_next = V[:, k + 1]
+        v_next = V[:, (k + 1) % width]
         if degenerate[k]:
             zk = np.full(n_paths, float(np.mean(v_next * ens.dW[:, k])) / dt)
             m = np.full(n_paths, float(v_next.mean()))
@@ -273,14 +280,14 @@ def _backward_recursion(
                 raise SolverError(
                     f"transformed values <= 0 on {100 * nonpos:.1f}% of paths at step {k}; "
                     f"the transform is unreliable at this resolution", step=k)
-            clamped = (v < lo) | (v > hi)
-            clamp_counts[k] = int(np.count_nonzero(clamped))
+            clamp_counts[k] = np.count_nonzero((v < lo) | (v > hi))
             v = np.clip(v, lo, hi)
-        V[:, k] = v
-        Zc[:, k] = zk
+        V[:, k % width] = v
+        if Zc is not None:
+            Zc[:, k] = zk
     stderr_target = float(V[:, 1].std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     v0 = float(V[0, 0]) if float(np.ptp(V[:, 0])) == 0.0 else float(V[:, 0].mean())
-    return V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target, v0
+    return None if Zc is None else V, Zc, y_coefs, z_coefs, clamp_counts, stderr_target, v0
 
 
 def solve_lsmc(
@@ -288,6 +295,7 @@ def solve_lsmc(
     spec: DriverSpec,
     basis: BasisSpec,
     route: str = "direct",
+    *, estimate_only: bool = False,
 ) -> BackwardSolution:
     """Direct backward regression on the original driver.
 
@@ -295,7 +303,8 @@ def solve_lsmc(
     the incremental z-regression share one feature matrix.  The step follows
     the driver: when it depends on y, the y-argument is the per-path Newton
     fixed point (scheme one_step_implicit); otherwise it is the previous
-    backward iterate (scheme explicit).
+    backward iterate (scheme explicit).  ``estimate_only`` keeps two value
+    columns instead of the paths x steps Y and Z, which come back as None.
     """
     terminal = spec.terminal(ens.states[:, -1])
 
@@ -303,25 +312,27 @@ def solve_lsmc(
         return lambda y: eval_driver(spec, t, x, y, z)
 
     V, Zc, y_coefs, z_coefs, clamps, se, y0 = _backward_recursion(
-        ens, terminal, driver, basis, implicit=spec.depends_on_y)
+        ens, terminal, driver, basis, implicit=spec.depends_on_y, estimate_only=estimate_only)
     return BackwardSolution(
         grid=ens.grid, Y=V, Z=Zc, route=route,
         scheme="one_step_implicit" if spec.depends_on_y else "explicit", basis=basis,
-        y_coefficients=y_coefs, z_coefficients=z_coefs,
-        y0=y0, y0_stderr=se, clamp_counts=clamps, driver=spec, seed=ens.seed)
+        y_coefficients=y_coefs, z_coefficients=z_coefs, y0=y0, y0_stderr=se,
+        clamp_counts=clamps, n_paths=ens.n_paths, driver=spec, seed=ens.seed)
 
 
 def solve_transformed(
     ens: PathEnsemble,
     spec: DriverSpec,
     basis: BasisSpec,
+    *, estimate_only: bool = False,
 ) -> BackwardSolution:
     """Solve the exponentially transformed equation and map back.
 
     The transformed process exp(-z_quad (Y - value_floor)) satisfies a
     backward equation free of the quadratic z-term; its values are kept in
     [U_FLOOR, 1] by clamping (counted per step), and the pair (Y, Z) is
-    recovered from the transformed pair afterwards.
+    recovered from the transformed pair afterwards.  With ``estimate_only``
+    only u0 and its stderr are mapped back, and Y and Z are None.
     """
     times = ens.grid.times()
     H = spec.z_quad(times)
@@ -357,19 +368,21 @@ def solve_transformed(
         return f
 
     U, Lam, y_coefs, z_coefs, clamps, se_u, u0 = _backward_recursion(
-        ens, u_terminal, u_driver, basis, implicit=True, clamp=(U_FLOOR, 1.0))
+        ens, u_terminal, u_driver, basis, implicit=True, clamp=(U_FLOOR, 1.0),
+        estimate_only=estimate_only)
 
-    np.negative(Lam, out=Lam)   # in place: Z = -Lam / (H U) into Lam, Y = M - log(U) / H into U
-    for k in range(Lam.shape[1]):
-        Lam[:, k] /= H[k] * U[:, k]
-    np.subtract(M, np.divide(np.log(U, out=U), H, out=U), out=U)
-    U[:, -1] = g_vals   # terminal applied pointwise, exact
+    if U is not None:   # in place: Z = -Lam / (H U) into Lam, Y = M - log(U) / H into U
+        np.negative(Lam, out=Lam)
+        for k in range(Lam.shape[1]):
+            Lam[:, k] /= H[k] * U[:, k]
+        np.subtract(M, np.divide(np.log(U, out=U), H, out=U), out=U)
+        U[:, -1] = g_vals   # terminal applied pointwise, exact
     y0 = float(M - np.log(u0) / H[0])
     y0_stderr = float(se_u / (H[0] * u0))
     return BackwardSolution(
         grid=ens.grid, Y=U, Z=Lam, route="transformed", scheme="one_step_implicit", basis=basis,
-        y_coefficients=y_coefs, z_coefficients=z_coefs,
-        y0=y0, y0_stderr=y0_stderr, clamp_counts=clamps, driver=spec, seed=ens.seed)
+        y_coefficients=y_coefs, z_coefficients=z_coefs, y0=y0, y0_stderr=y0_stderr,
+        clamp_counts=clamps, n_paths=ens.n_paths, driver=spec, seed=ens.seed)
 
 
 def _check_driftless(ens0: PathEnsemble, fwd: ForwardSpec) -> None:
@@ -393,15 +406,17 @@ def solve_girsanov(
     spec: DriverSpec,
     fwd: ForwardSpec,
     basis: BasisSpec,
+    *, estimate_only: bool = False,
 ) -> BackwardSolution:
     """Direct recursion with the drift-eliminated driver on driftless paths.
 
     ``ens0`` must have been simulated with zero drift and the same diffusion;
     this is verified structurally (``_check_driftless``) rather than trusted.
+    ``estimate_only`` is ``solve_lsmc``'s.
     """
     _check_driftless(ens0, fwd)
     shifted = girsanov_shifted_driver(spec, fwd)
-    return solve_lsmc(ens0, shifted, basis, route="girsanov")
+    return solve_lsmc(ens0, shifted, basis, route="girsanov", estimate_only=estimate_only)
 
 
 @dataclass(frozen=True)
@@ -436,6 +451,8 @@ def martingale_residual(
     driven by the fitted-Z / increment coupling, whose variance is
     dt * mean(Z^2) / n and is invisible to the naive per-path estimate.
     """
+    if sol.Y is None:
+        raise DomainError("the solution kept no paths: it is an estimate-only solve")
     if spec is None:
         spec = sol.driver
     # the seed and the terminal row pin the ensemble's paths, the grid its times

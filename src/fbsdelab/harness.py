@@ -221,7 +221,8 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
     an ensemble where mu is exactly 0 on it, else gets its own with mu = 0.
     Each ensemble solves each distinct (driver, basis) once, a failing one
     included; where sigma != 0 too, girsanov's driver is direct's and it takes
-    direct's solves (``meta``), their failures as well.
+    direct's solves (``meta``), their failures as well.  Every solve is
+    estimate-only: beside the ensemble it holds two value columns, not Y and Z.
     """
     fwd = setup.forward
     tgrid = numerics.time_grid(fwd)
@@ -230,19 +231,19 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
         half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
         ensembles.append((half, 0, "half-step"))
     solvers = {"direct": solve_lsmc, "transformed": solve_transformed,
-               "girsanov": lambda ens, driver, basis: solve_girsanov(ens, driver, fwd, basis)}
+               "girsanov": lambda ens, drv, basis, **kw: solve_girsanov(ens, drv, fwd, basis, **kw)}
     for route, _, _ in jobs:   # before any ensemble is simulated
         if route not in solvers:
             raise DomainError(f"unknown Monte Carlo route {route!r}; expected one of {LSMC_ROUTES}")
     found = {}   # job -> [value, stat_err, probe shifts...]
 
-    def y0(ens, route: str, basis: BasisSpec) -> tuple:   # drops Y and Z, ensemble-sized
+    def y0(ens, route: str, basis: BasisSpec) -> tuple:   # (y0, stderr) of an estimate-only solve
         if route == "girsanov" and as_direct:
             _check_driftless(ens, fwd)   # girsanov's own checks and errors come first
             route, meta["girsanov"] = "direct", "direct's solves (mu == 0 on every path)"
         if (route, basis) not in solved:   # solved and as_direct: the current ensemble's
             try:
-                sol = solvers[route](ens, setup.driver, basis)
+                sol = solvers[route](ens, setup.driver, basis, estimate_only=True)
                 solved[route, basis] = sol.y0, sol.y0_stderr
             except SolverError as exc:   # girsanov may ask for direct's failed solve too
                 solved[route, basis] = exc
@@ -404,9 +405,8 @@ def run_uniqueness_check(
     meta = {}   # girsanov's reuse of direct's solves, then the run's record
     rows = collect(numerics)
     violation = band_violation(rows)
-    doubled = False
-    if violation is not None:
-        doubled = True
+    doubled = violation is not None
+    if doubled:
         rows = collect(replace(numerics, n_paths=2 * numerics.n_paths))
         violation = band_violation(rows)
 
@@ -459,9 +459,7 @@ def run_delta_sweep(
     table = [[d, est.value, est.disc_err] for d, est in values.items()]
 
     verdicts = []
-    meta = {
-        "deltas": uniq, "n_space": numerics.n_space, "n_steps": numerics.n_steps,
-    }
+    meta = {"deltas": uniq, "n_space": numerics.n_space, "n_steps": numerics.n_steps}
     if 0.0 in values:
         anchor = _riccati_estimate(
             ProblemSetup.from_control(replace(cps, delta=0.0), label="delta=0"), numerics).value

@@ -373,6 +373,73 @@ class TestSolveGirsanov:
         assert abs(direct.y0 - girs.y0) <= 3.0 * (0.004 + 0.004)
 
 
+def _drifting_girsanov(estimate_only):
+    fwd = fl.ForwardSpec(mu=lambda t, x: -x, sigma=1.0, x0=0.5, horizon=1.0)
+    ens0 = fl.simulate(dataclasses.replace(fwd, mu=0.0), fl.TimeGrid(0, 1, 16), 3000, seed=24)
+    return fl.solve_girsanov(ens0, driver(z_quad=0.5, terminal=lambda x: x ** 2), fwd,
+                             fl.BasisSpec("polynomial", 3), estimate_only=estimate_only)
+
+
+def _lsmc_case(steps, seed, **spec):
+    def solve(estimate_only):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, steps), 3000, seed=seed)
+        return fl.solve_lsmc(ens, driver(**spec), fl.BasisSpec("polynomial", 3),
+                             estimate_only=estimate_only)
+    return solve
+
+
+def _transformed_case(estimate_only):
+    ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 2000, seed=11)
+    return fl.solve_transformed(ens, driver(z_quad=0.5, terminal=lambda x: 1.0 + np.tanh(x)),
+                                fl.BasisSpec("polynomial", 3), estimate_only=estimate_only)
+
+
+class TestEstimateOnly:
+    """An estimate-only solve keeps no paths and gives the full solve's estimate bit for bit."""
+
+    @pytest.mark.parametrize("solve, scheme", [
+        (_lsmc_case(16, 21, source=lambda t, x: x ** 2, z_quad=0.5,
+                    terminal=lambda x: 1.0 + np.tanh(x)), "explicit"),
+        (_lsmc_case(16, 22, source=lambda t, x: x ** 2, z_quad=0.5, y_term=lambda t, y: 0.2 * y,
+                    terminal=lambda x: 1.0 + np.tanh(x), floor=-10.0), "one_step_implicit"),
+        (_transformed_case, "one_step_implicit"),
+        (_drifting_girsanov, "explicit"),
+        (_lsmc_case(1, 23, z_quad=0.5, terminal=lambda x: x ** 2), "explicit"),
+    ], ids=["explicit", "implicit", "transformed", "girsanov", "one_step"])
+    def test_same_estimate_as_the_full_solve(self, solve, scheme):
+        full, est = solve(False), solve(True)
+        assert est.Y is None and est.Z is None and full.Y is not None
+        assert full.scheme == est.scheme == scheme
+        assert (est.n_paths, est.n_steps) == (full.n_paths, full.n_steps) == full.Z.shape
+        assert (est.y0, est.y0_stderr) == (full.y0, full.y0_stderr)
+        assert np.array_equal(est.clamp_counts, full.clamp_counts)
+        for name in ("y_coefficients", "z_coefficients"):
+            # step 0 has every path at x0: no fit there, in either mode
+            assert getattr(full, name)[0] is None and getattr(est, name)[0] is None
+            for a, b in zip(getattr(full, name)[1:], getattr(est, name)[1:], strict=True):
+                assert np.array_equal(a, b), name
+        if solve is _transformed_case:
+            assert full.clamp_counts.sum() > 0
+
+    @pytest.mark.parametrize("steps, seed, solve", [
+        (16, 3, lambda ens, estimate_only: fl.solve_lsmc(
+            ens, driver(z_quad=5.0, terminal=lambda x: x ** 2),
+            fl.BasisSpec("piecewise_linear", n_knots=10), estimate_only=estimate_only)),
+        (8, 11, lambda ens, estimate_only: fl.solve_transformed(
+            ens, driver(z_quad=1.0, terminal=lambda x: x ** 2),
+            fl.BasisSpec("polynomial", 3), estimate_only=estimate_only)),
+    ], ids=["non_finite", "unreliable_transform"])
+    def test_same_error_as_the_full_solve(self, steps, seed, solve):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, steps), 2000, seed=seed)
+        errors = []
+        for estimate_only in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(SolverError) as info:
+                    solve(ens, estimate_only)
+            errors.append((str(info.value), info.value.step))
+        assert errors[0] == errors[1]
+
+
 class TestMartingaleResidual:
     def test_exact_martingale_case(self):
         ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 32), 50_000, seed=21)
@@ -411,6 +478,13 @@ class TestMartingaleResidual:
         with pytest.raises(DomainError, match="not aligned"):
             fl.martingale_residual(sol, None, fl.simulate(brownian(), grid, 2000, seed=2))
         assert sol.seed == 1
+
+    def test_estimate_only_solution_rejected(self):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 1000, seed=1)
+        sol = fl.solve_lsmc(ens, driver(terminal=lambda x: x), fl.BasisSpec("polynomial", 2),
+                            estimate_only=True)
+        with pytest.raises(DomainError, match="kept no paths"):
+            fl.martingale_residual(sol, None, ens)
 
     def test_alignment_check(self, benchmark_direct_solution):
         other = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 100, seed=0)

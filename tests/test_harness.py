@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ def count_simulations(monkeypatch) -> list:
     return calls
 
 
-def no_girsanov(*args):
+def no_girsanov(*args, **kw):
     raise AssertionError("girsanov recursion ran")
 
 
@@ -270,6 +271,36 @@ class TestLostProbes:
             _lsmc_estimate(benchmark_setup, num, "direct")
 
 
+class TestEstimateOnlySolves:
+    @pytest.mark.parametrize("routes", [["direct"], ["transformed"], list(harness.LSMC_ROUTES)])
+    def test_peak_memory_stays_near_the_ensembles(self, benchmark_setup, routes):
+        # a full solve holds paths x steps Y and Z beside the ensemble (peak
+        # about 2.2x its states + dW); the estimate-only solves hold two columns
+        num = light_numerics()
+        jobs = [(route, num.seed, num.basis) for route in routes]
+        ensemble_bytes = 8 * num.n_paths * ((num.n_steps + 1) + num.n_steps)
+        tracemalloc.start()
+        try:
+            harness._lsmc_estimates(benchmark_setup, num, jobs, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ensemble_bytes
+
+    def test_every_solve_is_estimate_only(self, benchmark_setup, monkeypatch):
+        kept = []
+
+        def recording_solve(ens, spec, basis, **kw):
+            sol = fl.solve_lsmc(ens, spec, basis, **kw)
+            kept.append((sol.Y, sol.Z))
+            return sol
+
+        monkeypatch.setattr(harness, "solve_lsmc", recording_solve)
+        num = light_numerics(n_paths=2000, n_steps=8)
+        _lsmc_estimate(benchmark_setup, num, "direct")
+        assert len(kept) == 4 and set(kept) == {(None, None)}
+
+
 class TestSharedEnsembles:
     num = light_numerics(n_paths=4000, n_steps=16, n_space=101, pde_steps=50)
 
@@ -298,9 +329,9 @@ class TestSharedEnsembles:
                                                            monkeypatch):
         seen = []
 
-        def recording_girsanov(ens, *args):
+        def recording_girsanov(ens, *args, **kw):
             seen.append(ens)
-            return fl.solve_girsanov(ens, *args)
+            return fl.solve_girsanov(ens, *args, **kw)
 
         monkeypatch.setattr(harness, "solve_girsanov", recording_girsanov)
         # without direct beside it, girsanov is solved on the shared paths
