@@ -273,11 +273,11 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
             pending = list(dict.fromkeys(job for job in jobs if job[1] == seed))
             while pending:   # twice when girsanov needs its own paths
                 driftless = all(job[0] == "girsanov" for job in pending)
+                solved, as_direct = {}, False   # first: a failure's traceback holds its ensemble
                 ens = simulate(replace(fwd, mu=0.0) if driftless else fwd, grid,
                                numerics.n_paths, seed + offset)
                 served = [job for job in pending if job[0] != "girsanov"]
                 stepped = list(zip(grid.times()[:-1], ens.states.T))
-                solved, as_direct = {}, False
                 # mu == 0 at each state stepped from: x + 0 dt + sigma dW, the mu = 0 march;
                 # where sigma != 0 too, girsanov's shift mu / sigma is 0 and its driver direct's
                 if driftless or len(served) < len(pending) and not any(

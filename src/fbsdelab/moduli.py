@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 
@@ -176,6 +175,7 @@ def osgood_divergence_probe(modulus: Callable, lower: float, upper: float) -> fl
         xv = math.exp(-u)
         return xv / float(modulus(xv))
 
+    from scipy import integrate   # here, so that `import fbsdelab` does not load it for one probe
     a, b = math.log(1.0 / upper), math.log(1.0 / lower)
     value, _err = integrate.quad(integrand, a, b, epsrel=1e-9, epsabs=0.0, limit=400)
     return value

@@ -15,6 +15,10 @@ functions.
 
 The coefficients check their own values (``EvaluationError`` names one and
 its node); the march checks only the field slices it computes.
+
+Each level evaluates its fixed terms once: sigma (handed on to the next level),
+z_quad and the driver's (t, x) terms, which its Newton residuals share
+(``problem.driver_at``); its tridiagonal systems go straight to LAPACK's ``gtsv``.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .control import ControlPolicy
 from .errors import DomainError, SolverError
-from .problem import ControlProblemSpec, DriverSpec, ForwardSpec, eval_driver
+from .problem import ControlProblemSpec, DriverSpec, ForwardSpec, driver_at, eval_driver
 from .sde import TimeGrid
 
 PDE_SCHEMES = ("imex", "newton_implicit", "auto")
@@ -149,25 +153,20 @@ def _solve_interior(lower, diag, upper, rhs):
 
     ``lower/diag/upper`` are the interior-row coefficients on (w_{j-1}, w_j,
     w_{j+1}); the first and last rows are corrected for the edge rule
-    w_edge = 2 w_1 - w_2.
+    w_edge = 2 w_1 - w_2.  The diagonals go straight to LAPACK's ``gtsv``, which
+    ``scipy.linalg.solve_banded`` calls after building a band array and validating
+    it; a zero pivot raises ``LinAlgError("singular matrix")``, with no partial result.
     """
-    n = diag.size
     d = diag.copy()
-    lo = lower.copy()
-    up = upper.copy()
-    # first interior row: its w_{j-1} is the low edge node
-    d[0] += 2.0 * lower[0]
-    up[0] -= lower[0]
-    lo[0] = 0.0
-    # last interior row: its w_{j+1} is the high edge node
-    d[-1] += 2.0 * upper[-1]
-    lo[-1] -= upper[-1]
-    up[-1] = 0.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs)
+    d[0] += 2.0 * lower[0]     # first interior row: its w_{j-1} is the low edge node
+    d[-1] += 2.0 * upper[-1]   # last interior row: its w_{j+1} is the high edge node
+    du, dl = upper[:-1].copy(), lower[1:].copy()
+    du[0] -= lower[0]
+    dl[-1] -= upper[-1]
+    *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def _complete(w_int: np.ndarray) -> np.ndarray:
@@ -210,58 +209,56 @@ def solve_pde(
     v = np.empty((n_t + 1, sgrid.n_points))
     v[n_t] = spec.terminal(xs)
     newton_steps = 0
+    sig_next = fwd.sigma(float(times[n_t]), xin)   # each level hands its sigma to the next
 
     for k in range(n_t - 1, -1, -1):
         t = float(times[k])
-        t_next = float(times[k + 1])
         v_next = v[k + 1]
         mu_k = fwd.mu(t, xin)
         sig_k = fwd.sigma(t, xin)
         lower, diag_op, upper = _advection_diffusion_diagonals(mu_k, sig_k ** 2, dx)
 
         use_newton = scheme == "newton_implicit"
-        if not use_newton:
-            vx_next = np.gradient(v_next, dx)
+        if not use_newton:   # np.gradient's differences: central inside, one-sided at the edges
+            vx_next = np.empty_like(v_next)
+            vx_next[1:-1] = (v_next[2:] - v_next[:-2]) / (2.0 * dx)
+            vx_next[0], vx_next[-1] = (v_next[1] - v_next[0]) / dx, (v_next[-1] - v_next[-2]) / dx
+        if scheme != "imex":   # one z_quad(t) for the stiffness test and the Jacobian
+            H_k = float(spec.z_quad(t))
         if scheme == "auto":
-            H_here = float(np.max(np.abs(spec.z_quad(t))))
-            use_newton = H_here * dt * float(np.max(np.abs(vx_next))) > STIFFNESS_SWITCH
+            use_newton = abs(H_k) * dt * float(np.abs(vx_next).max()) > STIFFNESS_SWITCH
 
         if not use_newton:
-            sig_next = fwd.sigma(t_next, xin)
-            f_expl = eval_driver(spec, t_next, xin, v_next[1:-1], sig_next * vx_next[1:-1])
+            f_expl = eval_driver(spec, float(times[k + 1]), xin, v_next[1:-1],
+                                 sig_next * vx_next[1:-1])
             rhs = v_next[1:-1] + dt * f_expl
             w = _complete(_solve_interior(-dt * lower, 1.0 - dt * diag_op,
                                           -dt * upper, rhs))
         else:
             newton_steps += 1
-            H_k = float(spec.z_quad(t))
+            drv = driver_at(spec, t, xin)   # the (t, x) terms, once for every residual
 
             def residual(full):
                 vx = (full[2:] - full[:-2]) / (2.0 * dx)
-                f_val = eval_driver(spec, t, xin, full[1:-1], sig_k * vx)
                 advdiff = lower * full[:-2] + diag_op * full[1:-1] + upper * full[2:]
-                return v_next[1:-1] - full[1:-1] + dt * (advdiff + f_val)
+                return v_next[1:-1] - full[1:-1] + dt * (advdiff + drv(full[1:-1], sig_k * vx))
 
             w = _complete(v_next[1:-1])
             for it in range(NEWTON_MAX_ITER + 1):
                 res = residual(w)
-                base = float(np.max(np.abs(res)))
-                if base <= NEWTON_TOL * max(1.0, float(np.max(np.abs(w)))):
+                base = float(np.abs(res).max())
+                if base <= NEWTON_TOL * max(1.0, float(np.abs(w).max())):
                     break
-                if it == NEWTON_MAX_ITER:
+                if it == NEWTON_MAX_ITER or not np.isfinite(base):   # gtsv takes NaN silently
                     raise SolverError(
                         f"Newton did not converge at time index {k} (t={t:.6g}); "
                         f"residual {base:.3e}", step=k)
-                vx = (w[2:] - w[:-2]) / (2.0 * dx)
-                z = sig_k * vx
-                h_slope = spec.z_slope(t, xin) if spec.z_slope is not None else 0.0
-                dF_dz = h_slope - H_k * z
+                dF_dz = drv.z_slope - H_k * (sig_k * ((w[2:] - w[:-2]) / (2.0 * dx)))
+                dF_dv = 0.0
                 if spec.y_term is not None:
                     h_y = 1e-6 * np.maximum(1.0, np.abs(w[1:-1]))
                     dF_dv = -(spec.y_term(t, w[1:-1] + h_y)
                               - spec.y_term(t, w[1:-1] - h_y)) / (2 * h_y)
-                else:
-                    dF_dv = np.zeros_like(xin)
                 jac_lower = dt * (lower - dF_dz * sig_k / (2.0 * dx))
                 jac_diag = -1.0 + dt * (diag_op + dF_dv)
                 jac_upper = dt * (upper + dF_dz * sig_k / (2.0 * dx))
@@ -270,16 +267,16 @@ def solve_pde(
                 step_size = 1.0
                 while step_size >= 1e-3:
                     trial = _complete(w[1:-1] + step_size * delta)
-                    if float(np.max(np.abs(residual(trial)))) < base:
+                    if float(np.abs(residual(trial)).max()) < base:
                         break
                     step_size *= 0.5
                 w = trial
 
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             j = int(np.argmax(~np.isfinite(w)))
             raise SolverError(
                 f"non-finite value at time index {k} (t={t:.6g}), node x={xs[j]:.6g}", step=k)
-        v[k] = w
+        v[k], sig_next = w, sig_k
 
     return GridSolution(tgrid=tgrid, sgrid=sgrid, v=v, newton_steps=newton_steps)
 

@@ -166,15 +166,27 @@ class ControlProblemSpec:
         )
 
 
+def driver_at(spec: DriverSpec, t, x) -> Callable:
+    """F(t, x, ., .) as a function of (y, z), its (t, x)-only terms evaluated here, once;
+    its ``z_slope`` holds z_slope(t, x) (0.0 for none) for a caller that linearizes in z."""
+    source = spec.source(t, x)
+    slope = None if spec.z_slope is None else spec.z_slope(t, x)
+    half_quad = 0.5 * spec.z_quad(t)
+
+    def driver(y, z):
+        out = source if slope is None else source + slope * z
+        if spec.y_term is not None:
+            out = out - spec.y_term(t, y)
+        out = out - half_quad * z ** 2
+        return out if np.ndim(out) else float(out)
+
+    driver.z_slope = 0.0 if slope is None else slope
+    return driver
+
+
 def eval_driver(spec: DriverSpec, t, x, y, z):
     """F(t, x, y, z) with the quadratic-in-z structure; exact in each term."""
-    out = spec.source(t, x)
-    if spec.z_slope is not None:
-        out = out + spec.z_slope(t, x) * z
-    if spec.y_term is not None:
-        out = out - spec.y_term(t, y)
-    out = out - 0.5 * spec.z_quad(t) * z ** 2
-    return out if np.ndim(out) else float(out)
+    return driver_at(spec, t, x)(y, z)
 
 
 def girsanov_shifted_driver(spec: DriverSpec, fwd: ForwardSpec) -> DriverSpec:

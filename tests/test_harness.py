@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,6 +243,25 @@ class TestLostProbes:
         assert failed == [(24 + _REPLICATE_OFFSET, basis)]
         assert [line.split(",")[0] for line in meta["lost_probes"]] == ["direct", "girsanov"]
         assert all("replicate probe failed" in line for line in meta["lost_probes"])
+
+    def test_failed_probe_frees_its_ensemble(self, benchmark_setup, monkeypatch):
+        # a memoised failure keeps its traceback, whose frames hold the ensemble it
+        # failed on; that ensemble must be gone before the next one is simulated
+        num = self.num
+        self.failing_where(monkeypatch, lambda ens, basis: basis != num.basis)
+        refs, alive = [], []
+
+        def recording_simulate(*args):
+            alive.append([ref() is not None for ref in refs])
+            ens = fl.simulate(*args)
+            refs.append(weakref.ref(ens))
+            return ens
+
+        monkeypatch.setattr(harness, "simulate", recording_simulate)
+        meta = {}
+        harness._lsmc_estimates(benchmark_setup, num, [("direct", num.seed, num.basis)], meta)
+        assert "richer-basis probe failed" in meta["lost_probes"][0]
+        assert alive == [[], [False], [False, False]]
 
     def test_richer_probe_lost_when_both_candidates_fail(self, benchmark_setup, monkeypatch):
         num = self.num

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import fbsdelab as fl
 from fbsdelab.errors import DomainError, EvaluationError, SolverError
+from fbsdelab.pde import _solve_interior
 
 
 def heat_parts():
@@ -142,6 +145,18 @@ class TestSolvePde:
                          fl.SpaceGrid(-5.0, 7.0, 101), fl.TimeGrid(0.0, 1.0, 1),
                          scheme="newton_implicit")
 
+    @pytest.mark.parametrize("scheme, message", [
+        ("imex", "non-finite value at time index 3"),
+        ("newton_implicit", r"Newton did not converge at time index 3 .*residual inf")])
+    def test_overflowing_driver_is_a_solver_error(self, scheme, message):
+        # z^2 overflows on the first level; the solver error names it, whichever the scheme
+        fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
+        drv = fl.DriverSpec(source=0.0, z_quad=1.0, terminal=lambda x: 1e160 * x * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match=message):
+                fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 31), fl.TimeGrid(0, 1, 4),
+                             scheme=scheme)
+
     def test_invalid_arguments(self, benchmark_setup):
         sg = fl.SpaceGrid(-1.0, 1.0, 11)
         tg = fl.TimeGrid(0.0, 1.0, 4)
@@ -170,6 +185,41 @@ class TestSolvePde:
         assert np.max(np.abs(sol.v - flipped)) <= 1e-9
         u = fl.extract_feedback(sol, cps)
         assert abs(u(0.3, 0.0)) <= 1e-9
+
+
+class TestMarchIdentity:
+    """The march's bits are pinned: a change to how a level is computed must not move them.
+
+    The problem uses every per-level term (σ(t, x), a time-dependent z_quad, z_slope
+    and y_term).  Its coefficients use only +, -, * and /, no transcendental
+    functions, so the digests do not depend on numpy's vectorized math routines.
+    """
+
+    FWD = fl.ForwardSpec(mu=lambda t, x: -0.5 * x,
+                         sigma=lambda t, x: 1.0 + 0.2 * t + 0.1 * x * x / (1.0 + x * x),
+                         x0=0.5, horizon=1.0)
+    DRV = fl.DriverSpec(source=lambda t, x: x * x, z_quad=lambda t: 0.5 + 0.25 * t,
+                        terminal=lambda x: 0.5 * x * x,
+                        z_slope=lambda t, x: 0.1 * x / (1.0 + x * x),
+                        y_term=lambda t, y: 0.3 * y / (1.0 + 0.1 * y * y))
+
+    @pytest.mark.parametrize("scheme, n_steps, newton_steps, digest", [
+        # auto at 30 steps: 14 Newton levels near t = 0, imex levels near T
+        ("auto", 30, 14, "dfaf833e192fe22a61e4372f19b1b8bf46801591e33819a1f99a02bf84b4aee9"),
+        ("newton_implicit", 20, 20,
+         "96512e86b8e393454ac20f32f5bb96a10e22abbe82e3d9aa4e3e53290ca6df58"),
+    ])
+    def test_field_bits_are_pinned(self, scheme, n_steps, newton_steps, digest):
+        sol = fl.solve_pde(self.FWD, self.DRV, fl.SpaceGrid(-4.0, 5.0, 91),
+                           fl.TimeGrid(0.0, 1.0, n_steps), scheme=scheme)
+        assert sol.newton_steps == newton_steps
+        assert hashlib.sha256(sol.v.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_singular_system_raises(self, n):
+        # a zero pivot raises; no partial solution comes back
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _solve_interior(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
 
 
 class TestFeedbackExtraction:
