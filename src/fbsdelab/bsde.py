@@ -10,9 +10,11 @@ Three routes estimate the same value process on a simulated ensemble:
   driftless paths.
 
 The backward step is explicit in y when the driver does not depend on y,
-and one-step implicit (a per-path Newton fixed point) when it does, always on
-the transformed route.  Each step builds its driver as a function of y once,
-evaluating the y-free terms then, so Newton's calls redo only the y part.
+and one-step implicit (a per-path Newton fixed point) when it does; the
+transformed driver, affine in u without a y-term and with a constant z_quad,
+then takes the exact exponential step instead.  Each implicit step builds its
+driver as a function of y once, evaluating the y-free terms then, so Newton's
+calls redo only the y part.
 
 Per step, the z-component is estimated by regressing Y_{k+1} dW_k on the
 state basis and dividing by dt; the conditional mean of Y_{k+1} comes from
@@ -210,15 +212,15 @@ class BackwardSolution:
 def _backward_recursion(
     ens: PathEnsemble,
     terminal: np.ndarray,
-    driver: Callable,
+    step: Callable,
     basis_spec: BasisSpec,
-    implicit: bool,
     clamp: tuple | None = None,
     estimate_only: bool = False,
 ):
     """Shared backward loop; optionally clamps the value into a band per step.
 
-    ``driver(t, x, z)`` is the step's driver in y.  Returns (V, Zc, y_coefs,
+    ``step(t, x, z, m, v_next, k)`` is the solver's scheme: step k's values from
+    the fitted z and mean m of ``v_next``.  Returns (V, Zc, y_coefs,
     z_coefs, clamp_counts, stderr_target, v0), v0 being the time-0 value: the
     common entry when every path starts at one state, the path mean otherwise.
     Step k's values sit in V[:, k % width]; ``estimate_only`` alternates two columns, returning
@@ -262,10 +264,7 @@ def _backward_recursion(
             zk = fitted[:, 1] / dt
             y_coefs[k] = coef[:, 0]
             z_coefs[k] = coef[:, 1] / dt
-        if implicit:
-            v = _implicit_y(driver(t, x, zk), m, dt, step=k)
-        else:
-            v = m + driver(t, x, zk)(v_next) * dt
+        v = step(t, x, zk, m, v_next, k)
         if not np.all(np.isfinite(v)):
             raise SolverError(
                 f"backward recursion produced non-finite values at step {k}; "
@@ -307,12 +306,17 @@ def solve_lsmc(
     columns instead of the paths x steps Y and Z, which come back as None.
     """
     terminal = spec.terminal(ens.states[:, -1])
+    dt = ens.grid.dt
 
-    def driver(t, x, z):
-        return lambda y: eval_driver(spec, t, x, y, z)
+    if spec.depends_on_y:
+        def step(t, x, z, m, v_next, k):
+            return _implicit_y(lambda y: eval_driver(spec, t, x, y, z), m, dt, step=k)
+    else:
+        def step(t, x, z, m, v_next, k):
+            return m + eval_driver(spec, t, x, v_next, z) * dt
 
     V, Zc, y_coefs, z_coefs, clamps, se, y0 = _backward_recursion(
-        ens, terminal, driver, basis, implicit=spec.depends_on_y, estimate_only=estimate_only)
+        ens, terminal, step, basis, estimate_only=estimate_only)
     return BackwardSolution(
         grid=ens.grid, Y=V, Z=Zc, route=route,
         scheme="one_step_implicit" if spec.depends_on_y else "explicit", basis=basis,
@@ -331,8 +335,10 @@ def solve_transformed(
     The transformed process exp(-z_quad (Y - value_floor)) satisfies a
     backward equation free of the quadratic z-term; its values are kept in
     [U_FLOOR, 1] by clamping (counted per step), and the pair (Y, Z) is
-    recovered from the transformed pair afterwards.  With ``estimate_only``
-    only u0 and its stderr are mapped back, and Y and Z are None.
+    recovered from the transformed pair afterwards.  With no ``y_term`` and
+    z_quad's time slope 0.0 at every grid time, the step is exponential,
+    u = exp(-H source dt) m + z_slope lam dt; otherwise one_step_implicit.  With
+    ``estimate_only`` only u0 and its stderr are mapped back, and Y and Z are None.
     """
     times = ens.grid.times()
     H = spec.z_quad(times)
@@ -349,27 +355,34 @@ def solve_transformed(
 
     hdot_cache = {float(t): float(time_derivative(spec.z_quad, float(t), span=horizon))
                   for t in times}
+    dt = ens.grid.dt
+    affine = spec.y_term is None and not any(hdot_cache.values())
 
-    def u_driver(t, x, lam):   # the y-free terms once per step
-        Ht = float(spec.z_quad(t))
-        rate = hdot_cache[t] / Ht   # the recursion only visits grid times
-        fixed = Ht * spec.source(t, x)
-        push = None if spec.z_slope is None else spec.z_slope(t, x) * lam
+    if affine:   # f(u) = -H source u + z_slope lam: its linear part integrated exactly
+        def step(t, x, lam, m, v_next, k):
+            u = np.exp(-H[k] * spec.source(t, x) * dt)
+            u *= m
+            return u if spec.z_slope is None else u + spec.z_slope(t, x) * lam * dt
+    else:
+        def step(t, x, lam, m, v_next, k):   # the y-free terms once per step
+            Ht = float(spec.z_quad(t))
+            rate = hdot_cache[t] / Ht   # the recursion only visits grid times
+            fixed = Ht * spec.source(t, x)
+            push = None if spec.z_slope is None else spec.z_slope(t, x) * lam
 
-        def f(u):   # -u ((hdot/H) ln u + H source - H y_term) + z_slope lam
-            u = np.maximum(u, 1e-15)
-            ln_u = np.log(u)
-            bracket = rate * ln_u
-            bracket += fixed
-            if spec.y_term is not None:
-                bracket -= Ht * spec.y_term(t, M - ln_u / Ht)
-            np.negative(np.multiply(bracket, u, out=bracket), out=bracket)
-            return bracket if push is None else bracket + push
-        return f
+            def f(u):   # -u ((hdot/H) ln u + H source - H y_term) + z_slope lam
+                u = np.maximum(u, 1e-15)
+                ln_u = np.log(u)
+                bracket = rate * ln_u
+                bracket += fixed
+                if spec.y_term is not None:
+                    bracket -= Ht * spec.y_term(t, M - ln_u / Ht)
+                np.negative(np.multiply(bracket, u, out=bracket), out=bracket)
+                return bracket if push is None else bracket + push
+            return _implicit_y(f, m, dt, step=k)
 
     U, Lam, y_coefs, z_coefs, clamps, se_u, u0 = _backward_recursion(
-        ens, u_terminal, u_driver, basis, implicit=True, clamp=(U_FLOOR, 1.0),
-        estimate_only=estimate_only)
+        ens, u_terminal, step, basis, clamp=(U_FLOOR, 1.0), estimate_only=estimate_only)
 
     if U is not None:   # in place: Z = -Lam / (H U) into Lam, Y = M - log(U) / H into U
         np.negative(Lam, out=Lam)
@@ -380,7 +393,8 @@ def solve_transformed(
     y0 = float(M - np.log(u0) / H[0])
     y0_stderr = float(se_u / (H[0] * u0))
     return BackwardSolution(
-        grid=ens.grid, Y=U, Z=Lam, route="transformed", scheme="one_step_implicit", basis=basis,
+        grid=ens.grid, Y=U, Z=Lam, route="transformed",
+        scheme="exponential" if affine else "one_step_implicit", basis=basis,
         y_coefficients=y_coefs, z_coefficients=z_coefs, y0=y0, y0_stderr=y0_stderr,
         clamp_counts=clamps, n_paths=ens.n_paths, driver=spec, seed=ens.seed)
 

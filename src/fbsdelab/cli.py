@@ -222,7 +222,7 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     n_steps = _number(numerics_sec, "n_steps", errs, "numerics", int,
                       default=numerics.n_steps, minimum=1)
     n_space = _number(numerics_sec, "n_space", errs, "numerics", int,
-                      default=numerics.n_space, minimum=3)
+                      default=numerics.n_space, minimum=4)
     pde_steps = _number(numerics_sec, "pde_steps", errs, "numerics", int,
                         default=0, minimum=0)
     seed = _number(numerics_sec, "seed", errs, "numerics", int, default=numerics.seed)

@@ -50,8 +50,8 @@ class SpaceGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 3:
-            raise DomainError("n_points must be >= 3")
+        if self.n_points < 4:
+            raise DomainError("n_points must be >= 4: the PDE needs two interior nodes")
         if not self.x_lo < self.x_hi:
             raise DomainError("x_lo must be below x_hi")
 

@@ -313,6 +313,25 @@ class TestSolveTransformed:
         assert hashlib.sha256(sol.Z.tobytes()).hexdigest() == (
             "ded4339bd1375b25397253a08c8653c3d94fc5f201a743c57219d57f8b4091bb")
 
+    def test_affine_driver_steps_exactly(self):
+        # source and z_quad constant, no y_term: u' = H source u has the exact
+        # discount exp(-H source dt) per step, so y0 = g + source T to roundoff
+        # (implicit Euler's 1 / (1 + H source dt) was 0.012 low here)
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 2000, seed=5)
+        sol = fl.solve_transformed(ens, driver(source=0.5, z_quad=0.8, terminal=1.0),
+                                   fl.BasisSpec("polynomial", 2))
+        assert sol.y0 == pytest.approx(1.5, abs=1e-8)
+        assert sol.scheme == "exponential"
+
+    @pytest.mark.parametrize("spec, scheme", [
+        (driver(source=0.5, z_quad=0.8, z_slope=0.3, terminal=1.0), "exponential"),
+        (driver(z_quad=0.8, y_term=lambda t, y: 0.2 * y, terminal=1.0), "one_step_implicit"),
+        (driver(z_quad=lambda t: 0.5 + 0.25 * t, terminal=1.0), "one_step_implicit"),
+    ], ids=["affine", "y_term", "moving_z_quad"])
+    def test_step_follows_the_driver(self, spec, scheme):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 500, seed=5)
+        assert fl.solve_transformed(ens, spec, fl.BasisSpec("polynomial", 2)).scheme == scheme
+
     @pytest.mark.parametrize("solve", [fl.solve_lsmc, fl.solve_transformed])
     def test_non_finite_source_named(self, solve):
         # both routes name the coefficient and the first bad (t, x) at step 15
@@ -402,7 +421,7 @@ class TestEstimateOnly:
                     terminal=lambda x: 1.0 + np.tanh(x)), "explicit"),
         (_lsmc_case(16, 22, source=lambda t, x: x ** 2, z_quad=0.5, y_term=lambda t, y: 0.2 * y,
                     terminal=lambda x: 1.0 + np.tanh(x), floor=-10.0), "one_step_implicit"),
-        (_transformed_case, "one_step_implicit"),
+        (_transformed_case, "exponential"),
         (_drifting_girsanov, "explicit"),
         (_lsmc_case(1, 23, z_quad=0.5, terminal=lambda x: x ** 2), "explicit"),
     ], ids=["explicit", "implicit", "transformed", "girsanov", "one_step"])

@@ -161,6 +161,13 @@ class TestMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_three_point_pde_grid_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL_LQR + "\n[numerics]\nn_space = 3\n")
+        code = self.run_main("run", str(bad), "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert "numerics.n_space: must be >= 4, got 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cfg, flag, value", [
         ("lqr_condition.cfg", "--paths", "0"),
         ("lqr_condition.cfg", "--paths", "-3"),

@@ -30,6 +30,8 @@ class TestGrids:
             fl.SpaceGrid(0.0, 1.0, 2)
         with pytest.raises(DomainError):
             fl.SpaceGrid(1.0, 0.0, 11)
+        with pytest.raises(DomainError, match="two interior nodes"):
+            fl.SpaceGrid(-1.0, 1.0, 3)   # one interior node: nothing for the march to solve
         g = fl.SpaceGrid(-1.0, 1.0, 5)
         assert g.dx == 0.5
         assert g.refined(2).n_points == 9
