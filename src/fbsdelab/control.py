@@ -12,7 +12,9 @@ with P(T) = k2, q(T) = -2 k2 target(T), r(T) = k2 target(T)^2; this module
 integrates it with classical RK4 and exposes it as the exact baseline every
 stochastic route is checked against.  Costs are estimated by left-endpoint
 quadrature along simulated controlled paths, matching the filtration
-alignment of the explicit state stepping.
+alignment of the explicit state stepping: the controlled drift evaluates the
+policy once per state and accumulates the running cost in the same call.  A
+policy ranking draws its common noise once and marches every policy on it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .problem import ControlProblemSpec, _full_field
-from .sde import TimeGrid, simulate
+from .sde import TimeGrid, brownian_increments, simulate
 
 
 def _write_rows(path, columns, rows) -> None:
@@ -157,18 +159,28 @@ class CostEstimate:
         object.__setattr__(self, "per_path", arr)
 
 
-def _per_path_costs(cps: ControlProblemSpec, policy, ens) -> np.ndarray:
-    times = ens.grid.times()
-    dt = ens.grid.dt
-    cost = np.zeros(ens.n_paths)
-    for k in range(ens.n_steps):
-        t = times[k]
-        xk = ens.states[:, k]
-        u = policy(t, xk)
-        cost += ((xk - cps.target(t)) ** 2 + cps.control_weight(t) * np.asarray(u) ** 2) * dt
-    xT = ens.states[:, -1]
-    cost += cps.terminal_weight * (xT - cps.target(times[-1])) ** 2
-    return cost
+def _estimate(cps, policy, grid, n_paths, seed, name, dW=None) -> CostEstimate:
+    """One policy's cost on the increments ``dW`` (drawn from ``seed`` when None); target
+    and control weight are taken per grid time, before the march."""
+    times, dt = grid.times(), grid.dt
+    target = [cps.target(t) for t in times]
+    weight = [cps.control_weight(t) for t in times[:-1]]
+    uncontrolled = cps.uncontrolled_forward()
+    cost = np.zeros(n_paths)
+    steps = iter(range(grid.n_steps))   # the march calls the drift once per step, in order
+
+    def mu(t, x):   # the policy once per state, its running cost in the same call
+        nonlocal cost
+        k = next(steps)
+        u = policy(t, x)
+        cost += ((x - target[k]) ** 2 + weight[k] * np.asarray(u) ** 2) * dt
+        return uncontrolled.mu(t, x) + cps.B(t) * u
+
+    ens = simulate(replace(uncontrolled, mu=mu), grid, n_paths, seed, dW=dW)
+    cost += cps.terminal_weight * (ens.states[:, -1] - target[-1]) ** 2
+    stderr = float(cost.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    return CostEstimate(policy=name, mean=float(cost.mean()), stderr=stderr,
+                        n_paths=n_paths, per_path=cost)
 
 
 def estimate_cost(
@@ -183,19 +195,11 @@ def estimate_cost(
     The controlled paths dX = (A x - delta x^3 + B u) dt + sigma dW take the
     same noise as ``simulate`` on the uncontrolled forward, with taming
     applied to the whole controlled drift: with the policy forced to zero
-    they match the uncontrolled ensemble bit for bit on the same seed.
+    they match the uncontrolled ensemble bit for bit on the same seed.  The
+    cost is the left-endpoint sum of (x - target)^2 + k1 u^2 over the steps,
+    accumulated during the march, plus the terminal term k2 (x_T - target(T))^2.
     """
-    uncontrolled = cps.uncontrolled_forward()
-    fwd = replace(uncontrolled, mu=lambda t, x: uncontrolled.mu(t, x) + cps.B(t) * policy(t, x))
-    ens = simulate(fwd, grid, n_paths, seed)
-    cost = _per_path_costs(cps, policy, ens)
-    return CostEstimate(
-        policy=policy.name,
-        mean=float(cost.mean()),
-        stderr=float(cost.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
-        n_paths=n_paths,
-        per_path=cost,
-    )
+    return _estimate(cps, policy, grid, n_paths, seed, policy.name)
 
 
 @dataclass(frozen=True)
@@ -222,12 +226,15 @@ def compare_policies(
 ) -> PolicyRanking:
     """Estimate every policy's cost on identical noise and rank them.
 
+    The increments are drawn once and every policy's paths march on them, so
+    each estimate equals ``estimate_cost`` on the same seed bit for bit.
     Common random numbers make the paired differences low-variance: the
     reported paired stderr is that of per-path cost differences against the
     cheapest policy.
     """
     if len(policies) < 2:
         raise DomainError("need at least two policies to compare")
+    dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
     estimates = {}
     for pol in policies:
         name = pol.name
@@ -235,9 +242,7 @@ def compare_policies(
         while name in estimates:   # duplicates allowed; disambiguate the label
             name = f"{pol.name}#{k}"
             k += 1
-        est = estimate_cost(cps, pol, grid, n_paths, seed)
-        estimates[name] = CostEstimate(policy=name, mean=est.mean, stderr=est.stderr,
-                                       n_paths=est.n_paths, per_path=est.per_path)
+        estimates[name] = _estimate(cps, pol, grid, n_paths, seed, name, dW=dW)
     order = sorted(estimates, key=lambda name: estimates[name].mean)
     best = estimates[order[0]]
     rows = []

@@ -116,7 +116,10 @@ class GridSolution:
         t = np.clip(t, times[0], times[-1])
         x = np.clip(x, xs[0], xs[-1])   # constant extrapolation beyond the grid
         it = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
-        ix = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        # the uniform grid's cell, corrected once for rounding: searchsorted's index in O(1)
+        with np.errstate(invalid="ignore"):   # a NaN state casts silently; its weight is NaN
+            ix = np.clip(((x - xs[0]) / self.sgrid.dx).astype(int), 0, xs.size - 2)
+        ix = np.clip(ix - (xs[ix] > x) + (xs[ix + 1] <= x), 0, xs.size - 2)
         wt = (t - times[it]) / (times[it + 1] - times[it])
         wx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
         return it, ix, wt, wx
@@ -244,8 +247,8 @@ def solve_pde(
                 return v_next[1:-1] - full[1:-1] + dt * (advdiff + drv(full[1:-1], sig_k * vx))
 
             w = _complete(v_next[1:-1])
+            res = residual(w)   # each later iterate reuses the residual of the trial it was set to
             for it in range(NEWTON_MAX_ITER + 1):
-                res = residual(w)
                 base = float(np.abs(res).max())
                 if base <= NEWTON_TOL * max(1.0, float(np.abs(w).max())):
                     break
@@ -267,7 +270,8 @@ def solve_pde(
                 step_size = 1.0
                 while step_size >= 1e-3:
                     trial = _complete(w[1:-1] + step_size * delta)
-                    if float(np.abs(residual(trial)).max()) < base:
+                    res = residual(trial)
+                    if float(np.abs(res).max()) < base:
                         break
                     step_size *= 0.5
                 w = trial

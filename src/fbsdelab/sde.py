@@ -94,14 +94,14 @@ def brownian_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     out = np.empty((n_paths, n_steps), order="F")
+    buf = np.empty((min(_BLOCK, n_paths), n_steps))   # C order: the generator's fill order
     for block in range(0, n_paths, _BLOCK):
         rows = min(_BLOCK, n_paths - block)
         # a uint64 array keeps every seed's bits; a Python list would be cast
         # through float64 and collapse all seeds >= 2**63 (every negative one)
         key = np.array([seed % 2 ** 64, block // _BLOCK], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        out[block:block + rows] = gen.standard_normal((rows, n_steps))
-    out *= np.sqrt(dt)
+        np.multiply(gen.standard_normal(out=buf[:rows]), np.sqrt(dt), out=out[block:block + rows])
     return out
 
 
@@ -144,9 +144,17 @@ def simulate(
     n_paths: int,
     seed: int,
     scheme: str = "tamed_euler",
+    *, dW: np.ndarray | None = None,
 ) -> PathEnsemble:
-    """Simulate the forward diffusion; reproducible bit for bit per (seed, grid, n_paths, scheme)."""
-    dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
+    """Simulate the forward diffusion; reproducible bit for bit per (seed, grid, n_paths, scheme).
+
+    ``dW``, increments already drawn for these paths, lets several drifts share one
+    draw (the ensemble keeps and freezes it); a shape other than (n_paths, n_steps)
+    is a ``DomainError``."""
+    if dW is None:
+        dW = brownian_increments(seed, n_paths, grid.n_steps, grid.dt)
+    elif np.shape(dW) != (n_paths, grid.n_steps):
+        raise DomainError(f"dW has shape {np.shape(dW)}, expected {(n_paths, grid.n_steps)}")
     states = _march(fwd, grid, dW, scheme)
     return PathEnsemble(grid=grid, states=states, dW=dW, seed=seed)
 

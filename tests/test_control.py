@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import fbsdelab as fl
+from fbsdelab import sde
 from fbsdelab.errors import DomainError, EvaluationError
 
 
@@ -146,6 +148,48 @@ class TestComparePolicies:
         b = fl.compare_policies(benchmark_cps, policies, fl.TimeGrid(0.0, 1.0, 64),
                                 3000, seed=11)
         assert a.rows == b.rows
+
+    def test_one_noise_draw_per_ranking(self, benchmark_cps, monkeypatch):
+        calls = []
+        original = sde.brownian_increments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):   # every module that bound the name
+            if name.startswith("fbsdelab") and getattr(module, "brownian_increments",
+                                                       None) is original:
+                monkeypatch.setattr(module, "brownian_increments", counted)
+        policies = [fl.ControlPolicy.zero(), fl.ControlPolicy.constant(0.5),
+                    fl.ControlPolicy.constant(-0.5), fl.ControlPolicy.constant(0.2)]
+        fl.compare_policies(benchmark_cps, policies, fl.TimeGrid(0.0, 1.0, 16), 300, seed=4)
+        assert calls == [(4, 300, 16, 1.0 / 16)]
+
+    def test_each_law_runs_once_per_state(self, benchmark_cps):
+        calls = []
+
+        def law(t, x):
+            calls.append(t)
+            return -0.5 * x
+
+        policies = [fl.ControlPolicy("counted", law), fl.ControlPolicy.zero()]
+        tg = fl.TimeGrid(0.0, 1.0, 16)
+        fl.compare_policies(benchmark_cps, policies, tg, 300, seed=4)
+        assert calls == list(tg.times()[:-1])
+
+    def test_ranking_estimates_equal_single_estimates(self, benchmark_cps, perturbed_cps):
+        # the shared draw and the march's running cost give estimate_cost's bits
+        tg = fl.TimeGrid(0.0, 1.0, 32)
+        ric = fl.solve_riccati(benchmark_cps, tg)
+        policies = [fl.ControlPolicy.riccati_feedback(ric), fl.ControlPolicy.zero(),
+                    fl.ControlPolicy.constant(0.5), fl.ControlPolicy.zero()]
+        rank = fl.compare_policies(perturbed_cps, policies, tg, 5000, seed=8)
+        assert list(rank.estimates) == ["riccati_feedback", "zero", "constant(0.5)", "zero#2"]
+        for pol, est in zip(policies, rank.estimates.values()):
+            single = fl.estimate_cost(perturbed_cps, pol, tg, 5000, seed=8)
+            assert np.array_equal(est.per_path, single.per_path)
+            assert (est.mean, est.stderr) == (single.mean, single.stderr)
 
     def test_needs_two_policies(self, benchmark_cps):
         with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
+from fbsdelab import pde
 from fbsdelab.errors import DomainError, EvaluationError, SolverError
 from fbsdelab.pde import _solve_interior
 
@@ -217,11 +220,64 @@ class TestMarchIdentity:
         assert sol.newton_steps == newton_steps
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == digest
 
+    def test_each_newton_iterate_is_evaluated_once(self, monkeypatch):
+        # every completed field (the start and each backtracking trial) gets one
+        # residual, so the driver closure runs as often as _complete does
+        counts = {"driver": 0, "complete": 0}
+        driver_at, complete = pde.driver_at, pde._complete
+
+        def counted_driver_at(spec, t, x):
+            drv = driver_at(spec, t, x)
+
+            def counted(y, z):
+                counts["driver"] += 1
+                return drv(y, z)
+
+            counted.z_slope = drv.z_slope
+            return counted
+
+        def counted_complete(w_int):
+            counts["complete"] += 1
+            return complete(w_int)
+
+        monkeypatch.setattr(pde, "driver_at", counted_driver_at)
+        monkeypatch.setattr(pde, "_complete", counted_complete)
+        sol = fl.solve_pde(self.FWD, self.DRV, fl.SpaceGrid(-4.0, 5.0, 31),
+                           fl.TimeGrid(0.0, 1.0, 6), scheme="newton_implicit")
+        assert sol.newton_steps == 6
+        assert counts["driver"] == counts["complete"] > 2 * 6
+
     @pytest.mark.parametrize("n", [2, 6])
     def test_singular_system_raises(self, n):
         # a zero pivot raises; no partial solution comes back
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             _solve_interior(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
+
+
+class TestLocate:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([4, 5, 201, 401, 801]),
+           lo=st.floats(-50.0, 50.0), width=st.floats(1e-3, 100.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_cell_index_matches_searchsorted(self, n, lo, width, seed):
+        sg = fl.SpaceGrid(lo, lo + width, n)
+        sol = pde.GridSolution(fl.TimeGrid(0.0, 1.0, 2), sg, np.zeros((3, n)))
+        xs = sg.nodes()
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                            rng.uniform(lo - width, lo + 2.0 * width, 500)])
+        clipped = np.clip(x, xs[0], xs[-1])
+        expected = np.clip(np.searchsorted(xs, clipped, side="right") - 1, 0, n - 2)
+        assert np.array_equal(sol._locate(0.5, x)[1], expected)
+        assert sol._locate(0.5, float(x[-1]))[1] == expected[-1]
+
+    def test_nan_state_gives_nan_without_warning(self):
+        sol = pde.GridSolution(fl.TimeGrid(0.0, 1.0, 2), fl.SpaceGrid(0.0, 1.0, 5),
+                               np.zeros((3, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sol.gradient(0.3, np.array([0.5, np.nan]))
+        assert out[0] == 0.0 and np.isnan(out[1])
 
 
 class TestFeedbackExtraction:

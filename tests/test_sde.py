@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbsdelab as fl
-from fbsdelab.control import _per_path_costs
 from fbsdelab.errors import DomainError, EvaluationError, SimulationError
 from fbsdelab.sde import brownian_increments
 
@@ -87,6 +86,31 @@ class TestSimulate:
             np.testing.assert_allclose(
                 np.diff(ens.states, axis=1),
                 fwd.sigma(tg.times()[:-1], ens.states[:, :-1]) * ens.dW, rtol=0.0, atol=1e-12)
+
+    def test_increments_pin_the_per_block_formula(self):
+        # two full blocks and a partial one: each block is its own Philox stream,
+        # standard normals in C order scaled by sqrt(dt)
+        n_paths, n_steps, dt = 2 * 4096 + 123, 5, 0.01
+        expected = np.vstack([
+            np.random.Generator(np.random.Philox(key=np.array([7, b], dtype=np.uint64)))
+            .standard_normal((rows, n_steps)) * np.sqrt(dt)
+            for b, rows in enumerate((4096, 4096, 123))])
+        dW = brownian_increments(7, n_paths, n_steps, dt)
+        assert dW.flags.f_contiguous
+        assert np.array_equal(dW, expected)
+
+    def test_given_increments_are_used(self):
+        tg = fl.TimeGrid(0, 1, 16)
+        dW = brownian_increments(5, 40, tg.n_steps, tg.dt)
+        given = fl.simulate(cubic_drift(), tg, 40, seed=5, dW=dW)
+        drawn = fl.simulate(cubic_drift(), tg, 40, seed=5)
+        assert np.array_equal(given.states, drawn.states)
+        assert given.dW is dW
+
+    @pytest.mark.parametrize("shape", [(40, 15), (39, 16), (40,), (16, 40)])
+    def test_misshapen_increments_rejected(self, shape):
+        with pytest.raises(DomainError, match="dW has shape"):
+            fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 40, seed=5, dW=np.zeros(shape))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-2 ** 64, 2 ** 64 - 1), st.integers(-2 ** 64, 2 ** 64 - 1))
@@ -195,7 +219,13 @@ class TestControlledSimulate:
         tg = fl.TimeGrid(0, 1, 32)
         est = fl.estimate_cost(benchmark_cps, fl.ControlPolicy.zero(), tg, 300, seed=21)
         plain = fl.simulate(benchmark_cps.uncontrolled_forward(), tg, 300, seed=21)
-        expected = _per_path_costs(benchmark_cps, fl.ControlPolicy.zero(), plain)
+        cps, times = benchmark_cps, tg.times()
+        expected = np.zeros(300)
+        for k in range(tg.n_steps):   # left endpoints, then the terminal term
+            xk = plain.states[:, k]
+            expected += ((xk - cps.target(times[k])) ** 2
+                         + cps.control_weight(times[k]) * np.zeros(300) ** 2) * tg.dt
+        expected += cps.terminal_weight * (plain.states[:, -1] - cps.target(times[-1])) ** 2
         assert np.array_equal(est.per_path, expected)
 
     def test_pure_integration(self):
