@@ -16,21 +16,26 @@ functions.
 The coefficients check their own values (``EvaluationError`` names one and
 its node); the march checks only the field slices it computes.
 
-Each level evaluates its fixed terms once: sigma (handed on to the next level),
-z_quad and the driver's (t, x) terms, which its Newton residuals share
-(``problem.driver_at``); its tridiagonal systems go straight to LAPACK's ``gtsv``.
+The v-independent (t, x) terms are paid once per block of ``LEVEL_BLOCK`` levels, as
+(levels, nodes) arrays with rows in descending time, so a non-finite coefficient raises
+where a per-level march would: mu, sigma, the diagonals, z_quad and newton_implicit's
+Newton residual terms (``problem.driver_block``; auto picks Newton per level from v, so
+it calls ``driver_at``).  The imex step's driver stays one traced ``eval_driver`` call
+per level.  Tridiagonal systems go straight to LAPACK's ``gtsv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .control import ControlPolicy
 from .errors import DomainError, SolverError
-from .problem import ControlProblemSpec, DriverSpec, ForwardSpec, driver_at, eval_driver
+from .problem import (ControlProblemSpec, DriverSpec, ForwardSpec, driver_at, driver_block,
+                      eval_driver)
 from .sde import TimeGrid
 
 PDE_SCHEMES = ("imex", "newton_implicit", "auto")
@@ -39,6 +44,7 @@ NEWTON_MAX_ITER = 30
 STIFFNESS_SWITCH = 0.1   # auto: use Newton when z_quad * dt * max|v_x| exceeds this
 N_SIGMAS = 8.0           # spanning: half-width in diffusion-scale standard deviations
 DRIFT_STEPS = 256        # spanning: Euler steps of the drift's noiseless path
+LEVEL_BLOCK = 64         # time levels whose (t, x) coefficients are evaluated together
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,8 @@ class SpaceGrid:
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Finite-difference field v(t_i, x_j) plus its central-difference gradient."""
+    """Finite-difference field v(t_i, x_j) plus its central-difference gradient, built
+    on the first ``gradient`` call (most solves are read only through ``value``)."""
 
     tgrid: TimeGrid
     sgrid: SpaceGrid
@@ -106,9 +113,12 @@ class GridSolution:
             raise DomainError("value field contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
-        vx = np.gradient(arr, self.sgrid.dx, axis=1)
+
+    @cached_property
+    def _vx(self) -> np.ndarray:
+        vx = np.gradient(self.v, self.sgrid.dx, axis=1)
         vx.setflags(write=False)
-        object.__setattr__(self, "_vx", vx)
+        return vx
 
     def _locate(self, t, x):
         times = self.tgrid.times()
@@ -215,21 +225,25 @@ def solve_pde(
     sig_next = fwd.sigma(float(times[n_t]), xin)   # each level hands its sigma to the next
 
     for k in range(n_t - 1, -1, -1):
+        i = (n_t - 1 - k) % LEVEL_BLOCK   # the level's row in its block
+        if i == 0:   # a new block: its levels' (t, x) terms, one row per level, t descending
+            tb = times[max(k + 1 - LEVEL_BLOCK, 0):k + 1][::-1, None]
+            mu_b, sig_b = fwd.mu(tb, xin), fwd.sigma(tb, xin)
+            diagonals = _advection_diffusion_diagonals(mu_b, sig_b ** 2, dx)
+            H_b = spec.z_quad(tb)[:, 0] if scheme != "imex" else None   # stiffness, Jacobian
+            drivers = driver_block(spec, tb[:, 0], xin) if scheme == "newton_implicit" else None
         t = float(times[k])
         v_next = v[k + 1]
-        mu_k = fwd.mu(t, xin)
-        sig_k = fwd.sigma(t, xin)
-        lower, diag_op, upper = _advection_diffusion_diagonals(mu_k, sig_k ** 2, dx)
+        sig_k = sig_b[i]
+        lower, diag_op, upper = (d[i] for d in diagonals)
 
         use_newton = scheme == "newton_implicit"
         if not use_newton:   # np.gradient's differences: central inside, one-sided at the edges
             vx_next = np.empty_like(v_next)
             vx_next[1:-1] = (v_next[2:] - v_next[:-2]) / (2.0 * dx)
             vx_next[0], vx_next[-1] = (v_next[1] - v_next[0]) / dx, (v_next[-1] - v_next[-2]) / dx
-        if scheme != "imex":   # one z_quad(t) for the stiffness test and the Jacobian
-            H_k = float(spec.z_quad(t))
         if scheme == "auto":
-            use_newton = abs(H_k) * dt * float(np.abs(vx_next).max()) > STIFFNESS_SWITCH
+            use_newton = abs(H_b[i]) * dt * float(np.abs(vx_next).max()) > STIFFNESS_SWITCH
 
         if not use_newton:
             f_expl = eval_driver(spec, float(times[k + 1]), xin, v_next[1:-1],
@@ -239,7 +253,7 @@ def solve_pde(
                                           -dt * upper, rhs))
         else:
             newton_steps += 1
-            drv = driver_at(spec, t, xin)   # the (t, x) terms, once for every residual
+            drv = drivers[i] if drivers else driver_at(spec, t, xin)
 
             def residual(full):
                 vx = (full[2:] - full[:-2]) / (2.0 * dx)
@@ -256,7 +270,7 @@ def solve_pde(
                     raise SolverError(
                         f"Newton did not converge at time index {k} (t={t:.6g}); "
                         f"residual {base:.3e}", step=k)
-                dF_dz = drv.z_slope - H_k * (sig_k * ((w[2:] - w[:-2]) / (2.0 * dx)))
+                dF_dz = drv.z_slope - H_b[i] * (sig_k * ((w[2:] - w[:-2]) / (2.0 * dx)))
                 dF_dv = 0.0
                 if spec.y_term is not None:
                     h_y = 1e-6 * np.maximum(1.0, np.abs(w[1:-1]))

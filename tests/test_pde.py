@@ -213,6 +213,10 @@ class TestMarchIdentity:
         ("auto", 30, 14, "dfaf833e192fe22a61e4372f19b1b8bf46801591e33819a1f99a02bf84b4aee9"),
         ("newton_implicit", 20, 20,
          "96512e86b8e393454ac20f32f5bb96a10e22abbe82e3d9aa4e3e53290ca6df58"),
+        # 141 steps: two full blocks of levels and a partial one
+        ("auto", 141, 0, "2e53b8a3f3f519c07ab7926e108509ecf1b0a81d997cb3a4614d74c7fc0eec06"),
+        ("newton_implicit", 141, 141,
+         "0d8916f14ef7088e3ba486f37b06d73bed7f15dbee1803b10479237890f8fb83"),
     ])
     def test_field_bits_are_pinned(self, scheme, n_steps, newton_steps, digest):
         sol = fl.solve_pde(self.FWD, self.DRV, fl.SpaceGrid(-4.0, 5.0, 91),
@@ -222,25 +226,24 @@ class TestMarchIdentity:
 
     def test_each_newton_iterate_is_evaluated_once(self, monkeypatch):
         # every completed field (the start and each backtracking trial) gets one
-        # residual, so the driver closure runs as often as _complete does
+        # residual, so the driver closures run as often as _complete does
         counts = {"driver": 0, "complete": 0}
-        driver_at, complete = pde.driver_at, pde._complete
+        driver_block, complete = pde.driver_block, pde._complete
 
-        def counted_driver_at(spec, t, x):
-            drv = driver_at(spec, t, x)
-
-            def counted(y, z):
+        def counted(drv):
+            def driver(y, z):
                 counts["driver"] += 1
                 return drv(y, z)
 
-            counted.z_slope = drv.z_slope
-            return counted
+            driver.z_slope = drv.z_slope
+            return driver
 
         def counted_complete(w_int):
             counts["complete"] += 1
             return complete(w_int)
 
-        monkeypatch.setattr(pde, "driver_at", counted_driver_at)
+        monkeypatch.setattr(pde, "driver_block",
+                            lambda spec, ts, x: [counted(d) for d in driver_block(spec, ts, x)])
         monkeypatch.setattr(pde, "_complete", counted_complete)
         sol = fl.solve_pde(self.FWD, self.DRV, fl.SpaceGrid(-4.0, 5.0, 31),
                            fl.TimeGrid(0.0, 1.0, 6), scheme="newton_implicit")
@@ -252,6 +255,61 @@ class TestMarchIdentity:
         # a zero pivot raises; no partial solution comes back
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             _solve_interior(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
+
+
+class TestLevelBlocks:
+    """The march evaluates its (t, x) coefficients once per block of levels, at the
+    levels and in the order a level-by-level march would."""
+
+    @staticmethod
+    def recording_mu(seen):
+        def mu(t, x):
+            seen.append(np.array(t, dtype=float).ravel())
+            return -0.5 * x + 0.0 * t
+        return mu
+
+    @pytest.mark.parametrize("scheme", pde.PDE_SCHEMES)
+    @pytest.mark.parametrize("n_steps", [1, 64, 65, 141])
+    def test_mu_is_called_once_per_block(self, scheme, n_steps):
+        seen = []
+        fwd = fl.ForwardSpec(mu=self.recording_mu(seen), sigma=1.0, x0=0.0, horizon=1.0)
+        tg = fl.TimeGrid(0.0, 1.0, n_steps)
+        fl.solve_pde(fwd, TestMarchIdentity.DRV, fl.SpaceGrid(-4.0, 5.0, 31), tg, scheme=scheme)
+        assert len(seen) == -(-n_steps // pde.LEVEL_BLOCK)
+
+    @pytest.mark.parametrize("scheme", pde.PDE_SCHEMES)
+    def test_mu_sees_each_level_below_the_horizon_once_descending(self, scheme):
+        seen = []
+        fwd = fl.ForwardSpec(mu=self.recording_mu(seen), sigma=1.0, x0=0.0, horizon=1.0)
+        tg = fl.TimeGrid(0.0, 1.0, 141)
+        fl.solve_pde(fwd, TestMarchIdentity.DRV, fl.SpaceGrid(-4.0, 5.0, 31), tg, scheme=scheme)
+        np.testing.assert_array_equal(np.concatenate(seen), tg.times()[-2::-1])
+
+    @pytest.mark.parametrize("scheme", pde.PDE_SCHEMES)
+    def test_first_non_finite_drift_point_is_reported(self, scheme):
+        # NaN below t = 0.5: the first bad level in the march is t = 0.495, mid-block
+        fwd = fl.ForwardSpec(mu=lambda t, x: np.where(t < 0.5, np.nan, 0.0 * x), sigma=1.0,
+                             x0=0.0, horizon=1.0)
+        drv = fl.DriverSpec(source=lambda t, x: x * x, z_quad=1.0, terminal=lambda x: 0.0 * x)
+        with pytest.raises(EvaluationError) as err:
+            fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 31), fl.TimeGrid(0, 1, 200),
+                         scheme=scheme)
+        assert (err.value.coefficient, err.value.point) == ("mu", (0.495, -2.8))
+
+    @pytest.mark.parametrize("scheme, message", [
+        ("auto", r"Newton did not converge at time index 139 \(t=0.985816\); residual 9.090e\+11"),
+        ("newton_implicit",
+         r"Newton did not converge at time index 140 \(t=0.992908\); residual 3.423e\+01"),
+        ("imex", r"non-finite value at time index 135 \(t=0.957447\), node x=-3$"),
+    ])
+    def test_exploding_drift_fails_at_the_same_level(self, scheme, message):
+        # mu = x / (1 - t) is finite at every level the march evaluates it at (t < T)
+        fwd = fl.ForwardSpec(mu=lambda t, x: x / (1.0 - t), sigma=1.0, x0=0.0, horizon=1.0)
+        drv = fl.DriverSpec(source=lambda t, x: x * x, z_quad=1.0, terminal=lambda x: 0.0 * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match=message):
+                fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 31), fl.TimeGrid(0, 1, 141),
+                             scheme=scheme)
 
 
 class TestLocate:
@@ -281,6 +339,17 @@ class TestLocate:
 
 
 class TestFeedbackExtraction:
+    def test_gradient_field_is_built_on_first_use(self, benchmark_setup):
+        sg, tg = fl.SpaceGrid(-5.0, 7.0, 101), fl.TimeGrid(0.0, 1.0, 50)
+        sol = fl.solve_pde(benchmark_setup.forward, benchmark_setup.driver, sg, tg)
+        sol.value(0.3, np.linspace(-6.0, 8.0, 57))
+        assert "_vx" not in vars(sol)
+        t, x = np.linspace(0.0, 1.0, 57), np.linspace(-6.0, 8.0, 57)
+        expected = sol._bilinear(np.gradient(sol.v, sg.dx, axis=1), t, x)
+        np.testing.assert_array_equal(sol.gradient(t, x), expected)
+        assert not sol._vx.flags.writeable
+
+
     def test_matches_quadratic_feedback(self, benchmark_cps, benchmark_setup):
         sg = fl.SpaceGrid(-5.0, 7.0, 601)
         tg = fl.TimeGrid(0.0, 1.0, 400)
