@@ -1,16 +1,15 @@
 """Equivalence and uniqueness experiments across independent solution routes.
 
-A route is one way to produce the initial value of the backward problem:
-the closed-form quadratic baseline (when the control problem is unperturbed),
-the finite-difference PDE march, and the three Monte Carlo regressions
-(direct, transformed, drift-eliminated).  Routes agree within a combined
-tolerance of 3 * (statistical stderr + discretization estimate); persistent
-disagreement is the experiment's failure signal, echoing the theory's
-uniqueness claim in a falsifiable form.
-
-The Monte Carlo routes share paths: each distinct ensemble is simulated once
-and serves every route's solves (girsanov's only where mu is exactly 0 on it),
-and beside direct, girsanov takes direct's solves where its driver is direct's.
+A route is one way to produce the initial value of the backward problem: the
+closed-form quadratic baseline, the finite-difference PDE march, and the three
+Monte Carlo regressions (direct, transformed, drift-eliminated girsanov).  One
+table, ``ROUTE_TABLE``, gives each route's paths, solver and applicability.
+Routes agree within 3 * (statistical stderr + discretization estimate);
+persistent disagreement is the failure signal, echoing the theory's uniqueness
+claim in a falsifiable form.  The Monte Carlo routes share paths: each distinct
+ensemble is simulated once and serves every route's solves.  A route that does
+not apply, or would only repeat another's solves (girsanov beside direct where
+mu == 0 on every path), is skipped with its reason, not counted as agreement.
 
 Every experiment records its seeds and resolutions and is reproducible bit
 for bit from them.
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .errors import DomainError, SolverError
 from .pde import SpaceGrid, solve_pde
 from .problem import ControlProblemSpec, DriverSpec, ForwardSpec
 from .sde import TimeGrid, simulate
-
-LSMC_ROUTES = ("direct", "transformed", "girsanov")
-ROUTES = ("riccati", "pde") + LSMC_ROUTES
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,8 @@ class Verdict:
     detail: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "observed", float(self.observed))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        for name, kind in (("passed", bool), ("observed", float), ("tolerance", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -125,12 +121,9 @@ class ExperimentResult:
 
     def summary(self) -> str:
         lines = [f"experiment: {self.experiment}"]
-        for key in sorted(self.meta):
-            lines.append(f"# {key} = {self.meta[key]!r}")
-        for name in self.routes:
-            est = self.routes[name]
-            lines.append(f"route {name}: value={est.value!r} "
-                         f"stat_err={est.stat_err!r} disc_err={est.disc_err!r}")
+        lines += [f"# {key} = {self.meta[key]!r}" for key in sorted(self.meta)]
+        lines += [f"route {name}: value={est.value!r} stat_err={est.stat_err!r} "
+                  f"disc_err={est.disc_err!r}" for name, est in self.routes.items()]
         lines.extend(v.line() for v in self.verdicts)
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -153,35 +146,51 @@ class ExperimentResult:
         return written
 
 
-def _applicable_routes(setup: ProblemSetup, tgrid: TimeGrid) -> list:
-    routes = ["riccati"] if setup.control is not None and setup.control.delta == 0.0 else []
-    routes += ["pde", "direct"]
-    times = tgrid.times()
-    if np.all(setup.driver.z_quad(times) > 0.0):
-        routes.append("transformed")
-    xs = np.linspace(setup.forward.x0 - 1.0, setup.forward.x0 + 1.0, 9)
-    sig_ok = all(
-        float(np.min(np.abs(setup.forward.sigma(t, xs)))) > 1e-8
-        for t in times[:: max(1, len(times) // 8)]
-    )
-    if sig_ok:
-        routes.append("girsanov")
-    return routes
-
-
 def _pde_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
     fwd = setup.forward
-    sgrid = numerics.space_grid(fwd)
-    tgrid = numerics.pde_time_grid(fwd)
-
-    def value(sg: SpaceGrid, tg: TimeGrid) -> float:
-        sol = solve_pde(fwd, setup.driver, sg, tg,
-                        scheme=numerics.pde_scheme, boundary=numerics.boundary)
-        return float(sol.value(0.0, fwd.x0))
-
-    coarse = value(sgrid, tgrid)
-    fine = value(sgrid.refined(2), tgrid.refined(2))
+    sgrid, tgrid = numerics.space_grid(fwd), numerics.pde_time_grid(fwd)
+    coarse, fine = (float(solve_pde(fwd, setup.driver, sg, tg, scheme=numerics.pde_scheme,
+                                    boundary=numerics.boundary).value(0.0, fwd.x0))
+                    for sg, tg in ((sgrid, tgrid), (sgrid.refined(2), tgrid.refined(2))))
     return RouteEstimate("pde", fine, 0.0, abs(fine - coarse))
+
+
+def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
+    ric = solve_riccati(setup.control, numerics.time_grid(setup.forward))
+    return RouteEstimate("riccati", float(ric.value(0.0, setup.control.x0)), 0.0, 1e-9)
+
+
+def _driftless_reason(setup: ProblemSetup, numerics: Numerics, ens=None) -> str | None:
+    try:   # known only on paths
+        if ens is not None:
+            _check_driftless(ens, setup.forward)
+    except DomainError as exc:
+        return str(exc)
+
+
+class _Route(NamedTuple):
+    """A row of ``ROUTE_TABLE``; its lambdas look solvers up by name when called."""
+
+    paths: str | None   # a Monte Carlo route's ensembles: "problem" or "driftless" (mu = 0)
+    solve: Callable     # (setup, numerics) -> estimate, or (setup, ens, basis) -> solution
+    reason: Callable = lambda setup, numerics, ens=None: None   # why it does not apply
+
+
+ROUTE_TABLE = {
+    "riccati": _Route(None, lambda s, num: _riccati_estimate(s, num), lambda s, num, ens=None: (
+        None if s.control is not None and s.control.delta == 0.0
+        else "the closed form needs a control problem with delta == 0")),
+    "pde": _Route(None, lambda s, num: _pde_estimate(s, num)),
+    "direct": _Route("problem", lambda s, ens, b: solve_lsmc(ens, s.driver, b, estimate_only=True)),
+    "transformed": _Route("problem", lambda s, ens, b: solve_transformed(
+        ens, s.driver, b, estimate_only=True), lambda s, num, ens=None: (
+        None if np.all(s.driver.z_quad(num.time_grid(s.forward).times()) > 0.0)
+        else "transform requires z_quad > 0 on the whole grid")),   # solve_transformed's words
+    "girsanov": _Route("driftless", lambda s, ens, b: solve_girsanov(
+        ens, s.driver, s.forward, b, estimate_only=True), _driftless_reason),
+}
+ROUTES = tuple(ROUTE_TABLE)
+LSMC_ROUTES = tuple(name for name, route in ROUTE_TABLE.items() if route.paths)
 
 
 def _richer_candidates(basis: BasisSpec) -> list:
@@ -201,28 +210,23 @@ def _richer_candidates(basis: BasisSpec) -> list:
 _REPLICATE_OFFSET = 990001
 
 
-def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: dict) -> list:
+def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: dict,
+                    skip=None) -> list:
     """Monte Carlo estimates for (route, seed, basis) jobs, in job order.
 
-    Statistical error is the one-step stderr of the final averaging.  The
-    'discretization' error is the largest shift the estimate takes under
-    three probes: a replicate run on fresh noise (recursion noise the
-    one-step stderr cannot see), halving the step count, and enriching the
-    regression basis.  Taking the max rather than the sum avoids counting
-    the same recursion noise in every difference.  A probe whose solve fails
-    (``SolverError``) is left out of the max and listed in
-    ``meta["lost_probes"]``; a job that loses all three has no error budget
-    and raises.
+    Statistical error is the one-step stderr; the 'discretization' error is the
+    largest shift under three probes: a replicate on fresh noise (recursion noise
+    the stderr cannot see), half the steps, a richer basis.  A failing probe
+    (``SolverError``) is left out and listed in ``meta["lost_probes"]``; a job
+    that loses all three raises.  Per seed, the base, replicate and half-step
+    ensembles are each simulated once, serve every job and are freed before the
+    next exists; a driftless route shares one where mu is exactly 0 on it.  Each
+    ensemble solves each distinct (driver, basis) once, failures included, and
+    where sigma != 0 too, girsanov's driver is direct's and takes its solves.
 
-    Per seed, the base (seed, full grid), replicate (seed + _REPLICATE_OFFSET)
-    and half-step (seed, half grid) ensembles are each simulated once, serve
-    every job (the base: its base solve, then its richer-basis probe) and are
-    freed before the next exists.  girsanov needs driftless paths: it shares
-    an ensemble where mu is exactly 0 on it, else gets its own with mu = 0.
-    Each ensemble solves each distinct (driver, basis) once, a failing one
-    included; where sigma != 0 too, girsanov's driver is direct's and it takes
-    direct's solves (``meta``), their failures as well.  Every solve is
-    estimate-only: beside the ensemble it holds two value columns, not Y and Z.
+    With ``skip``, a route whose ``reason`` fires on an ensemble, and girsanov where
+    direct's solves served it on every ensemble, are left out and passed to
+    ``skip(route, reason)``; without, the first raises, the second is in ``meta``.
     """
     fwd = setup.forward
     tgrid = numerics.time_grid(fwd)
@@ -230,20 +234,23 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
     if tgrid.n_steps >= 2:
         half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
         ensembles.append((half, 0, "half-step"))
-    solvers = {"direct": solve_lsmc, "transformed": solve_transformed,
-               "girsanov": lambda ens, drv, basis, **kw: solve_girsanov(ens, drv, fwd, basis, **kw)}
     for route, _, _ in jobs:   # before any ensemble is simulated
-        if route not in solvers:
+        if route not in LSMC_ROUTES:
             raise DomainError(f"unknown Monte Carlo route {route!r}; expected one of {LSMC_ROUTES}")
-    found = {}   # job -> [value, stat_err, probe shifts...]
+    found, lost = {}, []   # job -> [value, stat_err, probe shifts...]; (route, lost probe)
+    dropped, as_direct_on = set(), []   # skipped routes; per ensemble serving girsanov
+
+    def drop(route: str, reason: str):
+        if skip is None:
+            raise DomainError(reason)
+        dropped.add(route)
+        skip(route, reason)
 
     def y0(ens, route: str, basis: BasisSpec) -> tuple:   # (y0, stderr) of an estimate-only solve
-        if route == "girsanov" and as_direct:
-            _check_driftless(ens, fwd)   # girsanov's own checks and errors come first
-            route, meta["girsanov"] = "direct", "direct's solves (mu == 0 on every path)"
+        route = "direct" if route == "girsanov" and as_direct else route
         if (route, basis) not in solved:   # solved and as_direct: the current ensemble's
             try:
-                sol = solvers[route](ens, setup.driver, basis, estimate_only=True)
+                sol = ROUTE_TABLE[route].solve(setup, ens, basis)
                 solved[route, basis] = sol.y0, sol.y0_stderr
             except SolverError as exc:   # girsanov may ask for direct's failed solve too
                 solved[route, basis] = exc
@@ -264,31 +271,43 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
                 return
             except SolverError as exc:
                 reason = str(exc).split(";")[0]
-        meta.setdefault("lost_probes", []).append(
-            f"{route}, seed {seed}, {basis.label()}, {numerics.n_paths} paths: "
-            f"{probe} probe failed ({reason})")
+        lost.append((route, f"{route}, seed {seed}, {basis.label()}, {numerics.n_paths} paths: "
+                            f"{probe} probe failed ({reason})"))
 
     for seed in dict.fromkeys(job[1] for job in jobs):
         for grid, offset, probe in ensembles:
             pending = list(dict.fromkeys(job for job in jobs if job[1] == seed))
-            while pending:   # twice when girsanov needs its own paths
-                driftless = all(job[0] == "girsanov" for job in pending)
+            # twice when a driftless route needs its own paths
+            while pending := [job for job in pending if job[0] not in dropped]:
+                served = [job for job in pending if ROUTE_TABLE[job[0]].paths == "problem"]
                 solved, as_direct = {}, False   # first: a failure's traceback holds its ensemble
-                ens = simulate(replace(fwd, mu=0.0) if driftless else fwd, grid,
+                ens = simulate(fwd if served else replace(fwd, mu=0.0), grid,
                                numerics.n_paths, seed + offset)
-                served = [job for job in pending if job[0] != "girsanov"]
                 stepped = list(zip(grid.times()[:-1], ens.states.T))
                 # mu == 0 at each state stepped from: x + 0 dt + sigma dW, the mu = 0 march;
                 # where sigma != 0 too, girsanov's shift mu / sigma is 0 and its driver direct's
-                if driftless or len(served) < len(pending) and not any(
+                if not served or len(served) < len(pending) and not any(
                         np.any(fwd.mu(t, x)) for t, x in stepped):
                     as_direct = any(job[0] == "direct" for job in served) and all(
                         np.all(fwd.sigma(t, x)) for t, x in stepped)
                     served = pending
-                for job in served:
+                for route in dict.fromkeys(job[0] for job in served):
+                    if reason := ROUTE_TABLE[route].reason(setup, numerics, ens):
+                        drop(route, reason)
+                    elif route == "girsanov":
+                        as_direct_on.append(as_direct)
+                for job in (job for job in served if job[0] not in dropped):
                     run(ens, job, probe)
                 pending = [job for job in pending if job not in served]
                 del ens, stepped   # before the next ensemble exists (stepped holds its states)
+    if as_direct_on and all(as_direct_on) and "girsanov" not in dropped:
+        if skip is None:
+            meta["girsanov"] = "direct's solves (mu == 0 on every path)"
+        else:
+            drop("girsanov", "identical to direct (mu == 0 on every path)")
+    if lines := [line for route, line in lost if route not in dropped]:
+        meta.setdefault("lost_probes", []).extend(lines)
+    jobs = [job for job in jobs if job[0] not in dropped]
     for route, seed, basis in jobs:
         if len(found[route, seed, basis]) == 2:
             raise SolverError(f"every error probe of {route} (seed {seed}, {basis.label()}) "
@@ -303,62 +322,56 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
     return _lsmc_estimates(setup, numerics, [job], {})[0]
 
 
-def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
-    tgrid = numerics.time_grid(setup.forward)
-    ric = solve_riccati(setup.control, tgrid)
-    return RouteEstimate("riccati", float(ric.value(0.0, setup.control.x0)), 0.0, 1e-9)
-
-
 def estimate_route(setup: ProblemSetup, numerics: Numerics, route: str) -> RouteEstimate:
-    """The riccati or pde estimate; the Monte Carlo routes go through ``_lsmc_estimates``."""
-    if route == "riccati":
-        if setup.control is None or setup.control.delta != 0.0:
-            raise DomainError("closed-form route needs an unperturbed control problem")
-        return _riccati_estimate(setup, numerics)
-    if route == "pde":
-        return _pde_estimate(setup, numerics)
-    raise DomainError(f"unknown route {route!r}")
+    """One route's estimate with its error budget; ``DomainError`` says why it does not apply."""
+    if route not in ROUTE_TABLE:
+        raise DomainError(f"unknown route {route!r}")
+    if ROUTE_TABLE[route].paths:
+        return _lsmc_estimate(setup, numerics, route)
+    if reason := ROUTE_TABLE[route].reason(setup, numerics):
+        raise DomainError(reason)
+    return ROUTE_TABLE[route].solve(setup, numerics)
 
 
 def _pairs(items: list, value_err):
-    """Each pair (a, b) with its gap and agreement tolerance 3 (err_a + err_b).
-
-    ``value_err`` maps an item to its (value, error budget).
-    """
+    """Each pair (a, b) with its gap and tolerance 3 (err_a + err_b); ``value_err`` gives both."""
     for i, a in enumerate(items):
         for b in items[i + 1:]:
             (va, ea), (vb, eb) = value_err(a), value_err(b)
             yield a, b, abs(va - vb), 3.0 * (ea + eb)
 
 
-def run_feynman_kac_check(
-    setup: ProblemSetup,
-    numerics: Numerics,
-    routes: list | None = None,
-) -> ExperimentResult:
+def run_feynman_kac_check(setup: ProblemSetup, numerics: Numerics,
+                          routes: list | None = None) -> ExperimentResult:
     """Solve every applicable route and check pairwise agreement.
 
     Two routes agree when |a - b| <= 3 * (err_a + err_b) with each route's
-    error being statistical stderr plus a halved-resolution discrepancy.
+    error being statistical stderr plus a halved-resolution discrepancy.  A
+    route that does not apply, or would only repeat direct's solves, is
+    skipped and its reason recorded in ``meta["skipped"]``; fewer than two
+    routes left raises, before any ensemble where the reasons need no paths.
     """
-    tgrid = numerics.time_grid(setup.forward)
-    if routes is None:
-        routes = _applicable_routes(setup, tgrid)
-    for route in routes:   # every name and the route count are checked before any estimate
-        if route not in ROUTES:
+    names = list(dict.fromkeys(ROUTES if routes is None else routes))
+    for route in names:   # every name is checked before any estimate
+        if route not in ROUTE_TABLE:
             raise DomainError(f"unknown route {route!r}")
-    if len(set(routes)) < 2:
-        raise DomainError(f"need at least 2 distinct routes to compare, "
-                          f"got {list(dict.fromkeys(routes))}")
-    # the other routes come before any LSMC ensemble
-    estimates = {r: None if r in LSMC_ROUTES else estimate_route(setup, numerics, r) for r in routes}
-    jobs = [(r, numerics.seed, numerics.basis) for r in estimates if r in LSMC_ROUTES]
-    meta = {
-        "label": setup.label, "seed": numerics.seed, "n_paths": numerics.n_paths,
-        "n_steps": numerics.n_steps, "n_space": numerics.n_space,
-        "basis": numerics.basis.label(),
-    }
-    estimates.update((est.route, est) for est in _lsmc_estimates(setup, numerics, jobs, meta))
+    skipped = {r: why for r in names if (why := ROUTE_TABLE[r].reason(setup, numerics))}
+
+    def left(route=None, reason=None) -> list:   # after skipping route: the routes left, >= 2
+        skipped.update({route: reason} if route else {})
+        if len(kept := [r for r in names if r not in skipped]) < 2:
+            raise DomainError(f"need at least 2 distinct routes to compare, got {kept}"
+                              + "".join(f"; {r} skipped: {why}" for r, why in skipped.items()))
+        return kept
+
+    meta = {"label": setup.label, "seed": numerics.seed, "n_paths": numerics.n_paths,
+            "n_steps": numerics.n_steps, "n_space": numerics.n_space,
+            "basis": numerics.basis.label()}
+    found = {r: ROUTE_TABLE[r].solve(setup, numerics) for r in left() if not ROUTE_TABLE[r].paths}
+    jobs = [(r, numerics.seed, numerics.basis) for r in left() if r not in found]
+    found.update((est.route, est) for est in _lsmc_estimates(setup, numerics, jobs, meta, left))
+    estimates = {r: found[r] for r in left()}   # in the requested order
+    meta.update({"skipped": skipped} if skipped else {})
     verdicts = [Verdict(f"agree:{a.route}~{b.route}", gap <= tol, gap, tol)
                 for a, b, gap, tol in _pairs(list(estimates.values()),
                                              lambda e: (e.value, e.total_err))]
@@ -421,23 +434,14 @@ def run_uniqueness_check(
                 f"persistent split {violation[1][:3]} vs {violation[2][:3]}: "
                 f"gap {violation[3]:.3e} > tol {violation[4]:.3e}"
                 + ("" if not doubled else " after path doubling")))]
-    meta.update({
-        "label": setup.label, "seeds": list(map(int, seed_list)),
-        "bases": [b.label() for b in basis_list], "routes": list(routes),
-        "n_paths": numerics.n_paths, "n_steps": numerics.n_steps,
-        "doubled": doubled,
-    })
-    return ExperimentResult(
-        "uniqueness", {}, verdicts, meta,
-        table=[list(r) for r in rows],
-        table_columns=("route", "basis", "seed", "y0", "err"))
+    meta.update({"label": setup.label, "seeds": list(map(int, seed_list)),
+                 "bases": [b.label() for b in basis_list], "routes": list(routes),
+                 "n_paths": numerics.n_paths, "n_steps": numerics.n_steps, "doubled": doubled})
+    return ExperimentResult("uniqueness", {}, verdicts, meta, table=[list(r) for r in rows],
+                            table_columns=("route", "basis", "seed", "y0", "err"))
 
 
-def run_delta_sweep(
-    cps: ControlProblemSpec,
-    numerics: Numerics,
-    deltas: list,
-) -> ExperimentResult:
+def run_delta_sweep(cps: ControlProblemSpec, numerics: Numerics, deltas: list) -> ExperimentResult:
     """PDE route across perturbation strengths, anchored at the closed form.
 
     Duplicated deltas are removed; the delta = 0 entry (if present) must match
@@ -451,15 +455,15 @@ def run_delta_sweep(
         raise DomainError("no deltas supplied")
 
     def pde_value(delta: float) -> RouteEstimate:
-        sub = replace(cps, delta=delta)
-        setup = ProblemSetup.from_control(sub, label=f"delta={delta:g}")
+        setup = ProblemSetup.from_control(replace(cps, delta=delta), label=f"delta={delta:g}")
         return _pde_estimate(setup, numerics)
 
     values = {d: pde_value(d) for d in uniq}
     table = [[d, est.value, est.disc_err] for d, est in values.items()]
 
     verdicts = []
-    meta = {"deltas": uniq, "n_space": numerics.n_space, "n_steps": numerics.n_steps}
+    meta = {"deltas": uniq, "n_space": numerics.n_space,
+            "pde_steps": numerics.pde_time_grid(cps.uncontrolled_forward()).n_steps}
     if 0.0 in values:
         anchor = _riccati_estimate(
             ProblemSetup.from_control(replace(cps, delta=0.0), label="delta=0"), numerics).value
@@ -467,8 +471,7 @@ def run_delta_sweep(
         verdicts.append(Verdict("anchor_matches_closed_form", gap <= 5e-3, gap, 5e-3))
         meta["closed_form_value"] = anchor
     if len(uniq) >= 2:
-        gaps = [(uniq[i + 1] - uniq[i], i) for i in range(len(uniq) - 1)]
-        width, i = max(gaps)
+        _, i = max((uniq[i + 1] - uniq[i], i) for i in range(len(uniq) - 1))   # the widest gap
         lo, hi = uniq[i], uniq[i + 1]
         mid_est = pde_value(0.5 * (lo + hi))
         chord = 0.5 * (values[lo].value + values[hi].value)
@@ -476,13 +479,8 @@ def run_delta_sweep(
         tol = 0.5 * abs(values[hi].value - values[lo].value) + 1e-3
         verdicts.append(Verdict("continuity_in_delta", dev <= tol, dev, tol,
                                 detail=f"midpoint of [{lo:g}, {hi:g}]"))
-        vs = [values[d].value for d in uniq]
-        if all(b >= a for a, b in zip(vs, vs[1:])):
-            meta["trend"] = "nondecreasing"
-        elif all(b <= a for a, b in zip(vs, vs[1:])):
-            meta["trend"] = "nonincreasing"
-        else:
-            meta["trend"] = "mixed"
-    return ExperimentResult(
-        "delta_sweep", {}, verdicts, meta,
-        table=table, table_columns=("delta", "value", "disc_err"))
+        steps = np.diff([values[d].value for d in uniq])
+        meta["trend"] = ("nondecreasing" if np.all(steps >= 0.0) else
+                         "nonincreasing" if np.all(steps <= 0.0) else "mixed")
+    return ExperimentResult("delta_sweep", {}, verdicts, meta, table=table,
+                            table_columns=("delta", "value", "disc_err"))

@@ -161,14 +161,14 @@ def _advection_diffusion_diagonals(mu, sig2, dx):
     return lower, diag, upper
 
 
-def _solve_interior(lower, diag, upper, rhs):
-    """Tridiagonal solve over interior nodes with eliminated boundary nodes.
+def _solve_interior(lower, diag, upper, rhs, k: int, t: float):
+    """Tridiagonal solve over interior nodes with eliminated boundary nodes, at level k (time t).
 
     ``lower/diag/upper`` are the interior-row coefficients on (w_{j-1}, w_j,
     w_{j+1}); the first and last rows are corrected for the edge rule
     w_edge = 2 w_1 - w_2.  The diagonals go straight to LAPACK's ``gtsv``, which
     ``scipy.linalg.solve_banded`` calls after building a band array and validating
-    it; a zero pivot raises ``LinAlgError("singular matrix")``, with no partial result.
+    it; a zero pivot raises ``SolverError`` naming the level, with no partial result.
     """
     d = diag.copy()
     d[0] += 2.0 * lower[0]     # first interior row: its w_{j-1} is the low edge node
@@ -178,7 +178,7 @@ def _solve_interior(lower, diag, upper, rhs):
     dl[-1] -= upper[-1]
     *_, x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise SolverError(f"singular tridiagonal system at time index {k} (t={t:.6g})", step=k)
     return x
 
 
@@ -250,7 +250,7 @@ def solve_pde(
                                  sig_next * vx_next[1:-1])
             rhs = v_next[1:-1] + dt * f_expl
             w = _complete(_solve_interior(-dt * lower, 1.0 - dt * diag_op,
-                                          -dt * upper, rhs))
+                                          -dt * upper, rhs, k, t))
         else:
             newton_steps += 1
             drv = drivers[i] if drivers else driver_at(spec, t, xin)
@@ -279,7 +279,7 @@ def solve_pde(
                 jac_lower = dt * (lower - dF_dz * sig_k / (2.0 * dx))
                 jac_diag = -1.0 + dt * (diag_op + dF_dv)
                 jac_upper = dt * (upper + dF_dz * sig_k / (2.0 * dx))
-                delta = _solve_interior(jac_lower, jac_diag, jac_upper, -res)
+                delta = _solve_interior(jac_lower, jac_diag, jac_upper, -res, k, t)
                 # damped update: backtrack until the residual norm decreases
                 step_size = 1.0
                 while step_size >= 1e-3:

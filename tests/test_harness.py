@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -27,6 +28,18 @@ def count_simulations(monkeypatch) -> list:
 
 def no_girsanov(*args, **kw):
     raise AssertionError("girsanov recursion ran")
+
+
+DUPLICATE = "identical to direct (mu == 0 on every path)"
+CLOSED_FORM = "the closed form needs a control problem with delta == 0"
+TRANSFORM = "transform requires z_quad > 0 on the whole grid"
+SIGMA = "sigma is not bounded away from zero on the sampled range"
+
+
+def heat_setup(**forward):
+    fwd = fl.ForwardSpec(**{"mu": 0.0, "sigma": 1.0, "x0": 0.0, "horizon": 1.0, **forward})
+    drv = fl.DriverSpec(source=0.0, z_quad=0.0, terminal=lambda x: x ** 2)
+    return fl.ProblemSetup(label="heat", forward=fwd, driver=drv)
 
 
 def per_route_reference(setup, num, route, seed, basis):
@@ -78,11 +91,38 @@ class TestFeynmanKac:
         assert "transformed" not in res.routes
 
     def test_benchmark_triangle_routes(self, benchmark_setup, benchmark_value):
+        # mu == 0 on every path: girsanov would only repeat direct's solves
         res = fl.run_feynman_kac_check(
             benchmark_setup, light_numerics(basis=fl.BasisSpec("polynomial", 4)))
-        assert set(res.routes) == {"riccati", "pde", "direct", "transformed", "girsanov"}
+        assert list(res.routes) == ["riccati", "pde", "direct", "transformed"]
+        assert res.meta["skipped"] == {"girsanov": DUPLICATE}
         assert res.routes["riccati"].value == pytest.approx(benchmark_value, abs=1e-8)
         assert res.passed, res.summary()
+
+    def test_duplicate_girsanov_leaves_no_row_or_agreement(self, benchmark_setup, tmp_path):
+        res = fl.run_feynman_kac_check(benchmark_setup, light_numerics(n_paths=4000, n_steps=16,
+                                                                       n_space=101, pde_steps=50))
+        res.write(tmp_path)
+        routes = (tmp_path / "routes.csv").read_text()
+        verdicts = (tmp_path / "verdicts.txt").read_text()
+        assert "girsanov," not in routes and "route girsanov" not in verdicts
+        assert "~girsanov" not in verdicts and "girsanov~" not in verdicts
+        assert f"\n# skipped = {{'girsanov': '{DUPLICATE}'}}\n" in verdicts
+        assert "# girsanov = " not in verdicts
+        assert len(res.verdicts) == 6
+
+    def test_drifting_problem_keeps_girsanov(self, perturbed_setup, monkeypatch):
+        # mu != 0: girsanov runs on its own mu = 0 ensembles and is reported;
+        # only the closed form, which needs delta == 0, is skipped
+        calls = count_simulations(monkeypatch)
+        res = fl.run_feynman_kac_check(perturbed_setup,
+                                       light_numerics(n_paths=4000, n_steps=16, n_space=101,
+                                                      pde_steps=50))
+        assert list(res.routes) == ["pde", "direct", "transformed", "girsanov"]
+        assert res.meta["skipped"] == {"riccati": CLOSED_FORM}
+        assert "girsanov" not in res.meta
+        own = [grid.n_steps for fwd, grid, _ in calls if fwd is not perturbed_setup.forward]
+        assert own == [16, 16, 8]
 
     def test_perturbed_has_no_closed_form_route(self, perturbed_setup):
         res = fl.run_feynman_kac_check(
@@ -111,6 +151,43 @@ class TestFeynmanKac:
         with pytest.raises(DomainError):
             fl.run_feynman_kac_check(perturbed_setup, light_numerics(),
                                      routes=["riccati"])
+
+    @pytest.mark.parametrize("setup_name, routes, reason", [
+        ("perturbed_setup", ["riccati", "pde", "direct"], {"riccati": CLOSED_FORM}),
+        ("heat", ["transformed", "pde", "direct"], {"transformed": TRANSFORM}),
+    ])
+    def test_route_that_does_not_apply_is_skipped(self, request, setup_name, routes, reason):
+        setup = heat_setup() if setup_name == "heat" else request.getfixturevalue(setup_name)
+        res = fl.run_feynman_kac_check(
+            setup, light_numerics(n_paths=4000, n_steps=16, n_space=101, pde_steps=50),
+            routes=routes)
+        assert list(res.routes) == ["pde", "direct"]
+        assert res.meta["skipped"] == reason
+        assert [v.criterion for v in res.verdicts] == ["agree:pde~direct"]
+
+    def test_too_few_routes_left_names_each_reason_before_any_ensemble(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        solved = []
+        monkeypatch.setattr(harness, "solve_pde", lambda *a, **kw: solved.append(a))
+        with pytest.raises(DomainError) as err:
+            fl.run_feynman_kac_check(heat_setup(), light_numerics(),
+                                     routes=["riccati", "transformed", "direct"])
+        assert str(err.value) == (
+            f"need at least 2 distinct routes to compare, got ['direct']; "
+            f"riccati skipped: {CLOSED_FORM}; transformed skipped: {TRANSFORM}")
+        assert calls == [] and solved == []
+
+    def test_girsanov_skip_ends_the_run_after_its_base_ensemble(self, monkeypatch):
+        # sigma = x from x0 = 0 vanishes on every path: girsanov does not apply,
+        # and that is known only on paths; direct alone has nothing to agree with
+        calls = count_simulations(monkeypatch)
+        with pytest.raises(DomainError) as err:
+            fl.run_feynman_kac_check(heat_setup(sigma=lambda t, x: x),
+                                     light_numerics(n_paths=2000, n_steps=8),
+                                     routes=["direct", "girsanov"])
+        assert str(err.value) == (f"need at least 2 distinct routes to compare, got ['direct']; "
+                                  f"girsanov skipped: {SIGMA}")
+        assert [(grid.n_steps, seed) for _, grid, seed in calls] == [(8, 101)]
 
     @pytest.mark.parametrize("routes", [["pde"], ["pde", "pde"]])
     def test_single_route_rejected(self, benchmark_setup, routes):
@@ -329,7 +406,8 @@ class TestSharedEnsembles:
         # vanishes on the paths, so girsanov shares them
         calls = count_simulations(monkeypatch)
         res = fl.run_feynman_kac_check(benchmark_setup, self.num)
-        assert set(harness.LSMC_ROUTES) <= set(res.routes)
+        assert {"direct", "transformed"} <= set(res.routes)
+        assert res.meta["skipped"] == {"girsanov": DUPLICATE}
         assert [(grid.n_steps, seed) for _, grid, seed in calls] == [
             (16, 101), (16, 101 + _REPLICATE_OFFSET), (8, 101)]
         assert all(fwd is benchmark_setup.forward for fwd, _, _ in calls)
@@ -364,11 +442,12 @@ class TestSharedEnsembles:
             assert np.array_equal(ens.states, fresh.states)
             assert np.array_equal(ens.dW, fresh.dW)
 
-    @pytest.mark.parametrize("routes", [["direct", "girsanov"], ["girsanov", "pde", "direct"]])
+    @pytest.mark.parametrize("routes", [["direct", "girsanov"], ["girsanov", "direct"]])
     def test_girsanov_takes_directs_solves_where_mu_vanishes(self, benchmark_setup,
                                                              monkeypatch, routes):
         # mu == 0 and sigma != 0 on every path: one solve per (ensemble, basis)
-        # serves both routes, whichever comes first, and the meta says so
+        # serves both routes, whichever comes first; feynman_kac skips girsanov as a
+        # duplicate, and beside pde the run goes on without it
         solved = []
 
         def recording_solve(ens, spec, basis, **kw):
@@ -377,11 +456,19 @@ class TestSharedEnsembles:
 
         monkeypatch.setattr(harness, "solve_lsmc", recording_solve)
         monkeypatch.setattr(harness, "solve_girsanov", no_girsanov)
-        res = fl.run_feynman_kac_check(benchmark_setup, self.num, routes=routes)
+        meta = {}
+        direct, girsanov = sorted(harness._lsmc_estimates(
+            benchmark_setup, self.num, [(r, self.num.seed, self.num.basis) for r in routes],
+            meta), key=lambda est: est.route)
         assert len(solved) == len(set(solved)) == 4
-        assert res.routes["girsanov"] == replace(res.routes["direct"], route="girsanov")
-        assert res.meta["girsanov"] == "direct's solves (mu == 0 on every path)"
-        assert "\n# girsanov = \"direct's solves (mu == 0 on every path)\"\n" in res.summary()
+        assert girsanov == replace(direct, route="girsanov")
+        assert meta == {"girsanov": "direct's solves (mu == 0 on every path)"}
+        with pytest.raises(DomainError, match=re.escape(
+                f"got ['direct']; girsanov skipped: {DUPLICATE}")):
+            fl.run_feynman_kac_check(benchmark_setup, self.num, routes=routes)
+        res = fl.run_feynman_kac_check(benchmark_setup, self.num, routes=[*routes, "pde"])
+        assert list(res.routes) == ["direct", "pde"] and res.routes["direct"] == direct
+        assert res.meta["skipped"] == {"girsanov": DUPLICATE} and "girsanov" not in res.meta
 
     def test_uniqueness_girsanov_rows_equal_directs(self, benchmark_setup, monkeypatch):
         monkeypatch.setattr(harness, "solve_girsanov", no_girsanov)
@@ -397,20 +484,32 @@ class TestSharedEnsembles:
     @pytest.mark.parametrize("routes", [["direct", "girsanov"], ["girsanov", "direct"]])
     def test_reuse_keeps_girsanovs_own_errors(self, sigma, routes):
         # sigma = x from x0 = 0 vanishes on every path; sigma = 1e-13 vanishes
-        # nowhere but fails girsanov's bound, checked before direct's solves serve it
+        # nowhere but fails girsanov's bound, checked before direct's solves serve it:
+        # the Monte Carlo estimates raise it, feynman_kac skips girsanov with it
         fwd = fl.ForwardSpec(mu=0.0, sigma=sigma, x0=0.0, horizon=1.0)
         drv = fl.DriverSpec(source=lambda t, x: x ** 2, z_quad=0.0, terminal=lambda x: x ** 2)
         setup = fl.ProblemSetup(label="sigma", forward=fwd, driver=drv)
+        jobs = [(r, self.num.seed, self.num.basis) for r in routes]
+        with pytest.raises(DomainError) as err:
+            harness._lsmc_estimates(setup, self.num, jobs, {})
+        assert str(err.value) == SIGMA
         with pytest.raises(DomainError) as err:
             fl.run_feynman_kac_check(setup, self.num, routes=routes)
-        assert str(err.value) == "sigma is not bounded away from zero on the sampled range"
+        assert str(err.value).endswith(f"got ['direct']; girsanov skipped: {SIGMA}")
+        res = fl.run_feynman_kac_check(setup, self.num, routes=[*routes, "pde"])
+        assert list(res.routes) == ["direct", "pde"] and res.meta["skipped"] == {"girsanov": SIGMA}
 
     @pytest.mark.parametrize("setup_name", ["benchmark_setup", "perturbed_setup"])
     def test_estimates_equal_route_by_route_solves(self, setup_name, request):
+        # where mu == 0 feynman_kac skips girsanov, so it is estimated on its own
         setup = request.getfixturevalue(setup_name)
         res = fl.run_feynman_kac_check(setup, self.num, routes=["pde", *harness.LSMC_ROUTES])
+        routes = dict(res.routes)
+        if setup_name == "benchmark_setup":
+            assert res.meta["skipped"] == {"girsanov": DUPLICATE}
+            routes["girsanov"] = _lsmc_estimate(setup, self.num, "girsanov")
         for route in harness.LSMC_ROUTES:
-            assert res.routes[route] == per_route_reference(
+            assert routes[route] == per_route_reference(
                 setup, self.num, route, self.num.seed, self.num.basis)
 
     def test_uniqueness_rows_keep_order_and_values(self, benchmark_setup, monkeypatch):
@@ -532,6 +631,14 @@ class TestDeltaSweep:
     def test_negative_delta_rejected(self, benchmark_cps):
         with pytest.raises(DomainError):
             fl.run_delta_sweep(benchmark_cps, light_numerics(), [-0.1, 0.0])
+
+    @pytest.mark.parametrize("pde_steps, levels", [(50, 50), (None, 400)])
+    def test_meta_records_the_pde_time_resolution(self, benchmark_cps, pde_steps, levels):
+        # the sweep marches pde_steps levels; the Monte Carlo n_steps plays no part
+        num = light_numerics(n_space=41, pde_steps=pde_steps, n_steps=64)
+        res = fl.run_delta_sweep(benchmark_cps, num, [0.0])
+        assert res.meta["pde_steps"] == levels and "n_steps" not in res.meta
+        assert f"\n# pde_steps = {levels}\n" in res.summary()
 
 
 class TestArtifacts:

@@ -252,9 +252,11 @@ class TestMarchIdentity:
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_singular_system_raises(self, n):
-        # a zero pivot raises; no partial solution comes back
-        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-            _solve_interior(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
+        # a zero pivot raises a SolverError naming the level; no partial solution comes back
+        with pytest.raises(SolverError, match=r"^singular tridiagonal system at time index 3 "
+                                              r"\(t=0.25\)$") as err:
+            _solve_interior(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n), 3, 0.25)
+        assert err.value.step == 3
 
 
 class TestLevelBlocks:
@@ -310,6 +312,20 @@ class TestLevelBlocks:
             with pytest.raises(SolverError, match=message):
                 fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 31), fl.TimeGrid(0, 1, 141),
                              scheme=scheme)
+
+
+    @pytest.mark.parametrize("scheme", pde.PDE_SCHEMES)
+    def test_zero_pivot_is_a_solver_error(self, scheme):
+        # the 61-node grid of the exploding drift above hits a singular system, not a
+        # non-finite value; the CLI reports a SolverError and nothing else
+        fwd = fl.ForwardSpec(mu=lambda t, x: x / (1.0 - t), sigma=1.0, x0=0.0, horizon=1.0)
+        drv = fl.DriverSpec(source=lambda t, x: x * x, z_quad=1.0, terminal=lambda x: 0.0 * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match=r"^singular tridiagonal system at time index "
+                                                  r"140 \(t=0.992908\)$") as err:
+                fl.solve_pde(fwd, drv, fl.SpaceGrid(-3.0, 3.0, 61), fl.TimeGrid(0, 1, 141),
+                             scheme=scheme)
+        assert err.value.step == 140
 
 
 class TestLocate:
