@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .expressions import time_derivative
-from .problem import DriverSpec, ForwardSpec, eval_driver, girsanov_shifted_driver
+from .problem import DriverSpec, ForwardSpec, driver_at, eval_driver, girsanov_shifted_driver
 from .sde import PathEnsemble
 
 U_FLOOR = 1e-12           # clamp floor for the transformed process
@@ -310,7 +310,8 @@ def solve_lsmc(
 
     if spec.depends_on_y:
         def step(t, x, z, m, v_next, k):
-            return _implicit_y(lambda y: eval_driver(spec, t, x, y, z), m, dt, step=k)
+            drv = driver_at(spec, t, x)
+            return _implicit_y(lambda y: drv(y, z), m, dt, step=k)
     else:
         def step(t, x, z, m, v_next, k):
             return m + eval_driver(spec, t, x, v_next, z) * dt

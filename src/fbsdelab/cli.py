@@ -46,7 +46,6 @@ class RunConfig:
     deltas: list
     seeds: list
     bases: list
-    gamma: float
     kappa: object
     phi: object
     out_dir: str
@@ -294,10 +293,6 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
         errs.add("experiment.deltas: delta_sweep needs at least one delta")
     if experiment == "delta_sweep" and kind == "driver":
         errs.add("delta_sweep requires problem.kind = lqr")
-    gamma = _number(experiment_sec, "gamma", errs, "experiment", float, default=0.5)
-    if gamma is not None and not 0.0 < gamma < 1.0:
-        errs.add(f"experiment.gamma must lie in (0, 1), got {gamma!r}")
-        gamma = 0.5
     kappa_raw, kappa_line = _take(experiment_sec, "kappa")
     kappa = identity_modulus
     if kappa_raw is not None and kappa_raw != "identity":
@@ -329,7 +324,7 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
         pde_steps=pde_steps or None, basis=basis, pde_scheme=pde_scheme, seed=seed)
     return RunConfig(setup=setup, control=control, numerics=num,
                      experiment=experiment, routes=routes, deltas=deltas,
-                     seeds=seeds, bases=bases, gamma=gamma, kappa=kappa,
+                     seeds=seeds, bases=bases, kappa=kappa,
                      phi=0.0 if phi is None else phi, out_dir=out_dir)
 
 
@@ -341,7 +336,7 @@ def run(config: RunConfig) -> int:
         sgrid = config.numerics.space_grid(fwd)   # the checker samples the PDE's extent
         report = check_driver_assumptions(
             config.setup.driver, fwd, SampleGrid.regular(fwd.horizon, sgrid.x_lo, sgrid.x_hi),
-            kappa_candidate=config.kappa, phi_candidate=config.phi, gamma=config.gamma)
+            kappa_candidate=config.kappa, phi_candidate=config.phi)
         path = os.path.join(config.out_dir, "condition_report.txt")
         with open(path, "w") as fh:
             fh.write(report.summary() + "\n")

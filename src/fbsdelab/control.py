@@ -71,8 +71,12 @@ class RiccatiSolution:
 
     def feedback(self, t, x):
         """u(t, x) = -B (2 P x + q) / (2 k1), the optimal affine feedback."""
-        cps = self.problem
-        return -cps.B(t) * self.gradient(t, x) / (2.0 * cps.control_weight(t))
+        return _feedback_law(self.problem, self.gradient)(t, x)
+
+
+def _feedback_law(cps: ControlProblemSpec, gradient: Callable) -> Callable:
+    """u(t, x) = -B(t) gradient(t, x) / (2 control_weight(t)), the feedback of a value gradient."""
+    return lambda t, x: -cps.B(t) * gradient(t, x) / (2.0 * cps.control_weight(t))
 
 
 def solve_riccati(cps: ControlProblemSpec, tgrid: TimeGrid) -> RiccatiSolution:
@@ -142,7 +146,7 @@ class ControlPolicy:
 
     @classmethod
     def riccati_feedback(cls, ric: RiccatiSolution) -> "ControlPolicy":
-        return cls("riccati_feedback", ric.feedback)
+        return cls("riccati_feedback", _feedback_law(ric.problem, ric.gradient))
 
 
 @dataclass(frozen=True)

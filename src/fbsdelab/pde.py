@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .control import ControlPolicy
+from .control import ControlPolicy, _feedback_law
 from .errors import DomainError, SolverError
 from .problem import (ControlProblemSpec, DriverSpec, ForwardSpec, driver_at, driver_block,
                       eval_driver)
@@ -305,8 +305,4 @@ def extract_feedback(sol: GridSolution, cps: ControlProblemSpec) -> ControlPolic
     The gradient is bilinearly interpolated between nodes and held constant
     beyond the space grid.
     """
-
-    def law(t, x):
-        return -cps.B(t) * sol.gradient(t, x) / (2.0 * cps.control_weight(t))
-
-    return ControlPolicy("pde_feedback", law)
+    return ControlPolicy("pde_feedback", _feedback_law(cps, sol.gradient))

@@ -286,15 +286,15 @@ class AssumptionReport:
         y_term_modulus_bound     the modulus inequality for the y-nonlinearity
         terminal_above_floor     terminal >= value_floor - tol
         z_slope_bounded          |z_slope| finite on the sampled grid
-        source_dominates_z_slope 2 z_quad source - z_slope^2 / gamma >= 0
+        source_dominates_z_slope 2 z_quad source - z_slope^2 / GAMMA >= 0
 
     The uniqueness hypothesis takes the first four clauses plus either of the
-    last two.
+    last two.  Until boundedness is testable the domination clause cannot decide
+    it: it passes only where z_slope is finite, and there ``z_slope_bounded`` does.
     """
 
     clauses: dict
     resolution: dict
-    gamma: float
 
     @property
     def satisfied(self) -> bool:
@@ -317,6 +317,20 @@ class AssumptionReport:
 
 FLOOR_TOL = 1e-12      # checker: z_quad and the source-domination margin must clear it
 TERMINAL_TOL = 1e-9    # checker: how far the terminal may dip below value_floor
+GAMMA = 0.5            # checker: the source-domination margin's weight 1/GAMMA on z_slope^2
+
+
+def _violation(name: str, bad: np.ndarray, at: tuple, observed, threshold,
+               detail: str = "") -> ClauseVerdict | None:
+    """The failed verdict at the first True of ``bad`` in C order (None if none is); the witness
+    coordinates ``at``, ``observed`` and ``threshold`` broadcast against ``bad``, read there."""
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    *witness, observed, threshold = (
+        float(a.flat[i]) for a in np.broadcast_arrays(bad, *at, observed, threshold)[1:])
+    return ClauseVerdict(name, False, witness=tuple(witness), observed=observed,
+                         threshold=threshold, detail=detail)
 
 
 def check_driver_assumptions(
@@ -325,117 +339,80 @@ def check_driver_assumptions(
     grid: SampleGrid,
     kappa_candidate: Callable,
     phi_candidate: Callable | float = 0.0,
-    gamma: float = 0.5,
 ) -> AssumptionReport:
     """Sample every clause of the driver assumptions and report verdicts.
 
     ``kappa_candidate`` and ``phi_candidate`` instantiate the modulus clause
-    for the y-nonlinearity; gamma in (0, 1) parametrizes the alternative
-    source-domination clause.  Violations carry the witness point that
-    reproduces them at re-evaluation; a coefficient that is not finite on
-    the grid fails its clause at the first such point.
+    for the y-nonlinearity.  Each clause evaluates each coefficient once over
+    its whole sample grid.  A violation carries the witness that reproduces it
+    at re-evaluation: the first failing sample in the order t, then x or the
+    (u, v) pair.  A coefficient that is not finite on the grid fails its clause
+    at its first such point in that order.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
     kappa = _full_field(kappa_candidate, "kappa_candidate")
     phi = _full_field(phi_candidate, "phi")
     ts, xs, uv = grid.t, grid.x, grid.uv
+    tcol = ts[:, None]   # (t, x) coefficients are sampled as (len(ts), len(xs)) arrays
 
     def z_quad_positive():
         # positive, bounded away from zero, with a derivative-continuity probe
         H = spec.z_quad(ts)
-        if np.any(H <= FLOOR_TOL):
-            i = int(np.argmax(H <= FLOOR_TOL))
-            return ClauseVerdict("z_quad_positive", False, witness=(float(ts[i]),),
-                                 observed=float(H[i]), threshold=FLOOR_TOL,
-                                 detail="not positive / not bounded away from zero")
+        if low := _violation("z_quad_positive", H <= FLOOR_TOL, (ts,), H, FLOOR_TOL,
+                             "not positive / not bounded away from zero"):
+            return low
         scale = max(1.0, float(np.max(np.abs(H))) / max(fwd.horizon, 1.0))
-        for t in ts:
-            eta = 1e-7 * max(1.0, abs(t))
-            if t - eta <= 0.0 or t + eta >= fwd.horizon:
-                continue
-            lo, mid, hi = (spec.z_quad(s) for s in (t - eta, t, t + eta))
-            fdiff = (hi - mid) / eta
-            bdiff = (mid - lo) / eta
-            tol = 1e-6 * max(abs(fdiff), abs(bdiff), scale)
-            if abs(fdiff - bdiff) > tol:
-                return ClauseVerdict("z_quad_positive", False, witness=(float(t),),
-                                     observed=abs(fdiff - bdiff), threshold=tol,
-                                     detail="one-sided derivatives disagree (C1 probe)")
-        return ClauseVerdict("z_quad_positive", True,
-                             observed=float(np.min(H)), threshold=FLOOR_TOL,
-                             detail=f"min sampled value {float(np.min(H)):.3e}")
+        eta = 1e-7 * np.maximum(1.0, np.abs(ts))
+        inner = (ts - eta > 0.0) & (ts + eta < fwd.horizon)
+        t, eta, mid = ts[inner], eta[inner], H[inner]
+        lo, hi = spec.z_quad(np.stack([t - eta, t + eta], axis=1)).T   # t, then -eta, +eta
+        fdiff, bdiff = (hi - mid) / eta, (mid - lo) / eta
+        tol = 1e-6 * np.maximum(np.maximum(np.abs(fdiff), np.abs(bdiff)), scale)
+        jump = np.abs(fdiff - bdiff)
+        return _violation("z_quad_positive", jump > tol, (t,), jump, tol,
+                          "one-sided derivatives disagree (C1 probe)") or ClauseVerdict(
+            "z_quad_positive", True, observed=float(np.min(H)), threshold=FLOOR_TOL,
+            detail=f"min sampled value {float(np.min(H)):.3e}")
 
     def source_nonnegative():
-        for t in ts:
-            fvals = spec.source(t, xs)
-            if np.any(fvals < 0.0):
-                i = int(np.argmax(fvals < 0.0))
-                return ClauseVerdict("source_nonnegative", False,
-                                     witness=(float(t), float(xs[i])),
-                                     observed=float(fvals[i]), threshold=0.0)
-        return ClauseVerdict("source_nonnegative", True)
+        fvals = spec.source(tcol, xs)
+        return (_violation("source_nonnegative", fvals < 0.0, (tcol, xs), fvals, 0.0)
+                or ClauseVerdict("source_nonnegative", True))
 
     def y_term_modulus_bound():
         if spec.y_term is None:
             return ClauseVerdict("y_term_modulus_bound", True,
                                  detail="y_term is identically zero; left side vanishes")
-        M = spec.value_floor
-        uu, vv = np.meshgrid(uv, uv, indexing="ij")
-        mask = uu != vv
-        uu, vv = uu[mask], vv[mask]
-        gap = np.abs(uu - vv)
-        kap = kappa(gap ** 2)
-        for t in ts:
-            Ht = spec.z_quad(t)
-            if Ht <= 0.0:
-                continue   # clause (i) already witnesses this t
-            lu = spec.y_term(t, M - np.log(uu) / Ht)
-            lv = spec.y_term(t, M - np.log(vv) / Ht)
-            lhs = 2.0 * gap * np.abs(uu * lu - vv * lv)
-            rhs = float(phi(t)) * kap
-            slack = 1e-12 * (1.0 + np.abs(rhs))
-            bad = lhs > rhs + slack
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                return ClauseVerdict(
-                    "y_term_modulus_bound", False,
-                    witness=(float(t), float(uu[i]), float(vv[i])),
-                    observed=float(lhs[i]), threshold=float(rhs[i]),
-                    detail="modulus inequality fails at the witness (t, u, v)")
-        return ClauseVerdict("y_term_modulus_bound", True)
+        iu, iv = np.nonzero(~np.eye(uv.size, dtype=bool))   # the pairs u != v, in C order
+        gap = np.abs(uv[iu] - uv[iv])
+        H = spec.z_quad(ts)
+        t, H = tcol[H > 0.0], H[H > 0.0, None]   # clause (i) already witnesses the other times
+        ul = uv * spec.y_term(t, spec.value_floor - np.log(uv) / H)   # u * y_term at each u
+        lhs = 2.0 * gap * np.abs(ul[:, iu] - ul[:, iv])
+        rhs = phi(t) * kappa(gap ** 2)
+        bad = lhs > rhs + 1e-12 * (1.0 + np.abs(rhs))
+        return _violation("y_term_modulus_bound", bad, (t, uv[iu], uv[iv]), lhs, rhs,
+                          "modulus inequality fails at the witness (t, u, v)") or ClauseVerdict(
+            "y_term_modulus_bound", True)
 
     def terminal_above_floor():
         gvals = spec.terminal(xs)
         low = spec.value_floor - TERMINAL_TOL
-        if np.any(gvals < low):
-            i = int(np.argmax(gvals < low))
-            return ClauseVerdict("terminal_above_floor", False, witness=(float(xs[i]),),
-                                 observed=float(gvals[i]), threshold=low)
-        return ClauseVerdict("terminal_above_floor", True,
-                             observed=float(np.min(gvals)), threshold=spec.value_floor)
+        return _violation("terminal_above_floor", gvals < low, (xs,), gvals, low) or (
+            ClauseVerdict("terminal_above_floor", True, observed=float(np.min(gvals)),
+                          threshold=spec.value_floor))
 
     def z_slope_bounded():
         # finite everywhere on the sampled grid; record the empirical bound
-        hmax = 0.0
-        if spec.z_slope is not None:
-            for t in ts:
-                hmax = max(hmax, float(np.max(np.abs(spec.z_slope(t, xs)))))
+        hmax = 0.0 if spec.z_slope is None else float(np.max(np.abs(spec.z_slope(tcol, xs))))
         return ClauseVerdict("z_slope_bounded", True, observed=hmax,
                              detail=f"empirical bound {hmax:.6g} on the sampled grid")
 
     def source_dominates_z_slope():
-        # 2 z_quad source - z_slope^2 / gamma >= 0
-        for t in ts:
-            Ht = spec.z_quad(t)
-            hv = spec.z_slope(t, xs) if spec.z_slope is not None else 0.0
-            expr = 2.0 * Ht * spec.source(t, xs) - hv ** 2 / gamma
-            if np.any(expr < -FLOOR_TOL):
-                i = int(np.argmax(expr < -FLOOR_TOL))
-                return ClauseVerdict("source_dominates_z_slope", False,
-                                     witness=(float(t), float(xs[i])),
-                                     observed=float(expr[i]), threshold=0.0)
-        return ClauseVerdict("source_dominates_z_slope", True)
+        # 2 z_quad source - z_slope^2 / GAMMA >= 0
+        hv = spec.z_slope(tcol, xs) if spec.z_slope is not None else 0.0
+        expr = 2.0 * spec.z_quad(tcol) * spec.source(tcol, xs) - hv ** 2 / GAMMA
+        return (_violation("source_dominates_z_slope", expr < -FLOOR_TOL, (tcol, xs), expr, 0.0)
+                or ClauseVerdict("source_dominates_z_slope", True))
 
     clauses = {}
     # a non-finite value is this checker's verdict, not a numpy warning
@@ -447,8 +424,5 @@ def check_driver_assumptions(
             except EvaluationError as exc:
                 clauses[clause.__name__] = ClauseVerdict(
                     clause.__name__, False, witness=exc.point, detail="non-finite value")
-    return AssumptionReport(
-        clauses=clauses,
-        resolution={"n_t": int(ts.size), "n_x": int(xs.size), "n_uv": int(uv.size)},
-        gamma=gamma,
-    )
+    return AssumptionReport(clauses, {"n_t": int(ts.size), "n_x": int(xs.size),
+                                      "n_uv": int(uv.size)})

@@ -133,6 +133,28 @@ class TestSolveLsmc:
             spec, fl.BasisSpec("polynomial", 2))
         assert abs(finer.y0 - 2.0 * math.exp(-1.0)) < abs(sol.y0 - 2.0 * math.exp(-1.0))
 
+    def test_implicit_step_evaluates_y_free_terms_once_per_step(self):
+        # Newton's calls redo only the y part: source runs once per step, not
+        # once per Newton evaluation (80 calls here when each rebuilt the
+        # driver); y0 and the sha256 of Y and Z were recorded then
+        calls = []
+
+        def source(t, x):
+            calls.append(t)
+            return x ** 2
+
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 2000, seed=16)
+        spec = driver(source=source, z_quad=0.5, terminal=lambda x: 1.0 - np.exp(-x ** 2),
+                      y_term=lambda t, y: 0.2 * y)
+        sol = fl.solve_lsmc(ens, spec, fl.BasisSpec("polynomial", 3))
+        assert sol.scheme == "one_step_implicit"
+        assert len(calls) == 16
+        assert repr(sol.y0) == "0.6611924372464901"
+        assert hashlib.sha256(sol.Y.tobytes()).hexdigest() == (
+            "d8e2058c96afbca36fad249fe937936451c5574c6b65202407162e5f5af0483f")
+        assert hashlib.sha256(sol.Z.tobytes()).hexdigest() == (
+            "b8fb5b9a1a240e104bfcf133cc640f1c6a0ab7787c4dfa40e46e298f955b92e7")
+
     def test_explicit_scheme_default_without_y_dependence(self):
         ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 2000, seed=8)
         sol = fl.solve_lsmc(ens, driver(terminal=lambda x: x), fl.BasisSpec("polynomial", 1))

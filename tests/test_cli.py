@@ -261,6 +261,17 @@ class TestMain:
         assert "uniqueness hypothesis: holds" in out
         assert (tmp_path / "cond" / "condition_report.txt").exists()
 
+    def test_gamma_is_not_a_config_key(self, tmp_path, capsys):
+        # the source-domination weight is the checker's constant GAMMA
+        text = (CONFIG_DIR / "lqr_condition.cfg").read_text()
+        assert "kind = check_condition\n" in text
+        cfg = tmp_path / "gamma.cfg"
+        cfg.write_text(text.replace("kind = check_condition\n",
+                                    "kind = check_condition\ngamma = 0.5\n"))
+        code = self.run_main("check-condition", str(cfg), "--out-dir", str(tmp_path / "c"))
+        assert code == 2
+        assert "unknown key experiment.gamma" in capsys.readouterr().err
+
     def test_check_condition_failure_exits_1(self, tmp_path, capsys):
         text = """
 [problem]

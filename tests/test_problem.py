@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -111,6 +112,178 @@ class TestGirsanovDriver:
             x ** 2 + (0.4 + np.cos(x) / 1.3) * z - 0.4 * z ** 2, rtol=1e-14)
 
 
+# (clause, coefficient, its non-finite form, the clause's witness)
+NON_FINITE_CASES = [
+    ("z_quad_positive", "z_quad", lambda t: np.where(t > 0.5, np.nan, 1.0), (0.53125,)),
+    ("source_nonnegative", "source", np.nan, (0.0, -4.0)),
+    ("terminal_above_floor", "terminal", lambda x: np.where(x < 0.0, np.nan, x), (-4.0,)),
+    ("z_slope_bounded", "z_slope", lambda t, x: np.where(x >= 1.0, np.nan, 0.0), (0.0, 1.0)),
+    ("y_term_modulus_bound", "y_term", lambda t, y: np.where(y < 1.0, np.nan, 0.0),
+     (0.0, 0.8754687373539001)),
+    ("y_term_modulus_bound", "phi", lambda t: np.where(t < 0.5, np.nan, 1.0), (0.0,)),
+    # numpy itself warns on this one: the checker's verdict must come alone
+    ("z_slope_bounded", "z_slope", fl.parse_expression("0*(1-x)^0.5"),
+     (0.0, 1.2000000000000002)),
+]
+
+
+def non_finite_report(name, coefficient):
+    """(spec, phi, report) with ``name`` set to ``coefficient``, checked on the default grid."""
+    # phi is the checker's argument, not the spec's; a zero y_term lets its clause run
+    coefficients = {"source": 1.0, "z_quad": 1.0, "y_term": lambda t, y: 0.0 * y,
+                    "phi": 1.0, name: coefficient}
+    phi = coefficients.pop("phi")
+    spec = make_driver(**coefficients)
+    fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fl.check_driver_assumptions(spec, fwd, fl.SampleGrid.regular(1.0, -4.0, 4.0),
+                                             kappa_candidate=fl.identity_modulus,
+                                             phi_candidate=phi)
+    return spec, phi, report
+
+
+# One driver per branch of every clause (coefficients, phi), checked on the
+# 33 x 41 x 10 grid; GUARD_REPORTS holds each report's verdict and, per clause,
+# its summary line with (observed, threshold), as the checker that looped over
+# sample times gave them.  The NON_FINITE_CASES reports (default grid) are
+# recorded under "non_finite_<index>".
+GUARD_CASES = {
+    "all_pass": (dict(source=lambda t, x: x ** 2 + 1.0, z_slope=lambda t, x: np.sin(x),
+                      z_quad=lambda t: 0.5 + 0.25 * t, y_term=lambda t, y: np.exp(-y),
+                      terminal=lambda x: x ** 2), 50.0),
+    "z_quad_not_positive": (dict(source=1.0, z_quad=lambda t: t - 0.25), 0.0),
+    "z_quad_kinked": (dict(source=1.0, z_quad=lambda t: 0.5 + abs(t - 0.5)), 0.0),
+    "negative_source": (dict(source=lambda t, x: x, z_quad=1.0), 0.0),
+    "modulus_violation": (dict(source=1.0, z_quad=1.0, y_term=lambda t, y: np.exp(-y)), 1e-4),
+    "domination_fails": (dict(source=0.0, z_slope=1.0, z_quad=1.0), 0.0),
+    "terminal_below_floor": (dict(source=1.0, z_quad=1.0, terminal=lambda x: x), 0.0),
+}
+_ZERO_Y = "y_term_modulus_bound: PASS y_term is identically zero; left side vanishes"
+_NO_SLOPE = "z_slope_bounded: PASS empirical bound 0 on the sampled grid"
+GUARD_REPORTS = {
+    "all_pass": ("holds", [
+        ("z_quad_positive: PASS min sampled value 5.000e-01", 0.5, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: PASS", None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        ("z_slope_bounded: PASS empirical bound 0.999574 on the sampled grid",
+         0.9995736030415052, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "z_quad_not_positive": ("NOT established", [
+        ("z_quad_positive: FAIL witness=(0.0,) not positive / not bounded away from zero",
+         -0.25, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        (_ZERO_Y, None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: FAIL witness=(0.0, -4.0)", -0.5, 0.0),
+    ]),
+    "z_quad_kinked": ("NOT established", [
+        ("z_quad_positive: FAIL witness=(0.5,) one-sided derivatives disagree (C1 probe)",
+         2.0000000000575113, 1.0000000005838672e-06),
+        ("source_nonnegative: PASS", None, None),
+        (_ZERO_Y, None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "negative_source": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: FAIL witness=(0.0, -4.0)", -4.0, 0.0),
+        (_ZERO_Y, None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: FAIL witness=(0.0, -4.0)", -8.0, 0.0),
+    ]),
+    "modulus_violation": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: FAIL witness=(0.0, 0.1, 0.2)"
+         " modulus inequality fails at the witness (t, u, v)",
+         0.006000000000000002, 1.0000000000000002e-06),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "domination_fails": ("holds", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        (_ZERO_Y, None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        ("z_slope_bounded: PASS empirical bound 1 on the sampled grid", 1.0, None),
+        ("source_dominates_z_slope: FAIL witness=(0.0, -4.0)", -2.0, 0.0),
+    ]),
+    "terminal_below_floor": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        (_ZERO_Y, None, None),
+        ("terminal_above_floor: FAIL witness=(-4.0,)", -4.0, -1e-09),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "non_finite_0": ("NOT established", [
+        ("z_quad_positive: FAIL witness=(0.53125,) non-finite value", None, None),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: FAIL witness=(0.53125,) non-finite value", None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: FAIL witness=(0.53125,) non-finite value", None, None),
+    ]),
+    "non_finite_1": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: FAIL witness=(0.0, -4.0) non-finite value", None, None),
+        ("y_term_modulus_bound: PASS", None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: FAIL witness=(0.0, -4.0) non-finite value", None, None),
+    ]),
+    "non_finite_2": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: PASS", None, None),
+        ("terminal_above_floor: FAIL witness=(-4.0,) non-finite value", None, None),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "non_finite_3": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: PASS", None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        ("z_slope_bounded: FAIL witness=(0.0, 1.0) non-finite value", None, None),
+        ("source_dominates_z_slope: FAIL witness=(0.0, 1.0) non-finite value", None, None),
+    ]),
+    "non_finite_4": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: FAIL witness=(0.0, 0.8754687373539001) non-finite value",
+         None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "non_finite_5": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: FAIL witness=(0.0,) non-finite value", None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        (_NO_SLOPE, 0.0, None),
+        ("source_dominates_z_slope: PASS", None, None),
+    ]),
+    "non_finite_6": ("NOT established", [
+        ("z_quad_positive: PASS min sampled value 1.000e+00", 1.0, 1e-12),
+        ("source_nonnegative: PASS", None, None),
+        ("y_term_modulus_bound: PASS", None, None),
+        ("terminal_above_floor: PASS", 0.0, 0.0),
+        ("z_slope_bounded: FAIL witness=(0.0, 1.2000000000000002) non-finite value", None, None),
+        ("source_dominates_z_slope: FAIL witness=(0.0, 1.2000000000000002) non-finite value",
+         None, None),
+    ]),
+}
+
+
 class TestAssumptionChecker:
     def grid(self):
         return fl.SampleGrid.regular(1.0, -4.0, 4.0, n_t=33, n_x=41, n_uv=10)
@@ -171,31 +344,9 @@ class TestAssumptionChecker:
         (x,) = verdict.witness
         assert float(spec.terminal(x)) < 0.0
 
-    @pytest.mark.parametrize("clause, name, coefficient, witness", [
-        ("z_quad_positive", "z_quad", lambda t: np.where(t > 0.5, np.nan, 1.0), (0.53125,)),
-        ("source_nonnegative", "source", np.nan, (0.0, -4.0)),
-        ("terminal_above_floor", "terminal", lambda x: np.where(x < 0.0, np.nan, x), (-4.0,)),
-        ("z_slope_bounded", "z_slope", lambda t, x: np.where(x >= 1.0, np.nan, 0.0), (0.0, 1.0)),
-        ("y_term_modulus_bound", "y_term", lambda t, y: np.where(y < 1.0, np.nan, 0.0),
-         (0.0, 0.8754687373539001)),
-        ("y_term_modulus_bound", "phi", lambda t: np.where(t < 0.5, np.nan, 1.0), (0.0,)),
-        # numpy itself warns on this one: the checker's verdict must come alone
-        ("z_slope_bounded", "z_slope", fl.parse_expression("0*(1-x)^0.5"),
-         (0.0, 1.2000000000000002)),
-    ])
+    @pytest.mark.parametrize("clause, name, coefficient, witness", NON_FINITE_CASES)
     def test_non_finite_coefficient_fails_its_clause(self, clause, name, coefficient, witness):
-        # phi is the checker's argument, not the spec's; a zero y_term lets its clause run
-        coefficients = {"source": 1.0, "z_quad": 1.0, "y_term": lambda t, y: 0.0 * y,
-                        "phi": 1.0, name: coefficient}
-        phi = coefficients.pop("phi")
-        spec = make_driver(**coefficients)
-        fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = fl.check_driver_assumptions(spec, fwd,
-                                                 fl.SampleGrid.regular(1.0, -4.0, 4.0),
-                                                 kappa_candidate=fl.identity_modulus,
-                                                 phi_candidate=phi)
+        spec, phi, report = non_finite_report(name, coefficient)
         verdict = report.clauses[clause]
         assert not verdict.passed
         assert not report.satisfied
@@ -241,13 +392,11 @@ class TestAssumptionChecker:
                          z_slope=lambda t, x: np.sin(x), z_quad=1.0)
         fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
         report = fl.check_driver_assumptions(ok, fwd, self.grid(),
-                                             kappa_candidate=fl.identity_modulus,
-                                             gamma=0.5)
+                                             kappa_candidate=fl.identity_modulus)
         assert report.clauses["source_dominates_z_slope"].passed
         bad = make_driver(source=0.0, z_slope=1.0, z_quad=1.0)
         report = fl.check_driver_assumptions(bad, fwd, self.grid(),
-                                             kappa_candidate=fl.identity_modulus,
-                                             gamma=0.5)
+                                             kappa_candidate=fl.identity_modulus)
         verdict = report.clauses["source_dominates_z_slope"]
         assert not verdict.passed
         t, x = verdict.witness
@@ -256,14 +405,56 @@ class TestAssumptionChecker:
         assert report.clauses["z_slope_bounded"].passed
         assert report.satisfied
 
-    def test_gamma_range_enforced(self):
-        spec = make_driver(source=1.0, z_quad=1.0)
+    @pytest.mark.parametrize("case", list(GUARD_REPORTS))
+    def test_report_matches_recorded(self, case):
+        if case.startswith("non_finite_"):
+            _, name, coefficient, _ = NON_FINITE_CASES[int(case.rsplit("_", 1)[1])]
+            report = non_finite_report(name, coefficient)[2]
+        else:
+            coefficients, phi = GUARD_CASES[case]
+            fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
+            report = fl.check_driver_assumptions(make_driver(**coefficients), fwd, self.grid(),
+                                                 kappa_candidate=fl.identity_modulus,
+                                                 phi_candidate=phi)
+        verdict, lines = GUARD_REPORTS[case]
+        resolution = {"n_t": 33, "n_x": 41, "n_uv": 12 if case.startswith("non_finite_") else 10}
+        assert report.summary() == "\n".join(
+            [line for line, _, _ in lines]
+            + [f"uniqueness hypothesis: {verdict} (resolution {resolution})"])
+        assert [(v.observed, v.threshold) for v in report.clauses.values()] == [
+            (observed, threshold) for _, observed, threshold in lines]
+
+    @pytest.mark.parametrize("n_t", [5, 33])
+    def test_each_clause_calls_each_coefficient_once(self, n_t):
+        # every clause that reads a coefficient evaluates it once over its whole
+        # sample grid, however many times it samples; z_quad's C1 probe adds one
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        coefficients, phi = GUARD_CASES["all_pass"]
+        spec = make_driver(**{name: counted(name, fn) for name, fn in coefficients.items()})
         fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
-        for gamma in (0.0, 1.0, -0.5):
-            with pytest.raises(DomainError):
-                fl.check_driver_assumptions(spec, fwd, self.grid(),
-                                            kappa_candidate=fl.identity_modulus,
-                                            gamma=gamma)
+        grid = fl.SampleGrid.regular(1.0, -7.0, 9.0, n_t=n_t)
+        report = fl.check_driver_assumptions(spec, fwd, grid, kappa_candidate=fl.identity_modulus,
+                                             phi_candidate=phi)
+        assert report.satisfied and all(v.passed for v in report.clauses.values())
+        assert calls == {"z_quad": 4, "source": 2, "z_slope": 2, "y_term": 1, "terminal": 1}
+
+    def test_non_finite_value_after_a_violation_is_the_witness(self):
+        # the clause sees every sampled time at once: a source that is negative
+        # for t <= 0.5 and NaN after fails at its first NaN, not at (0.0, -7.0)
+        spec = make_driver(source=lambda t, x: np.where(t > 0.5, np.nan, -1.0), z_quad=1.0)
+        fwd = fl.ForwardSpec(mu=0.0, sigma=1.0, x0=0.0, horizon=1.0)
+        report = fl.check_driver_assumptions(spec, fwd, fl.SampleGrid.regular(1.0, -7.0, 9.0),
+                                             kappa_candidate=fl.identity_modulus)
+        verdict = report.clauses["source_nonnegative"]
+        assert not verdict.passed and not report.satisfied
+        assert (verdict.witness, verdict.detail) == ((0.53125, -7.0), "non-finite value")
 
     def test_summary_mentions_every_clause(self, benchmark_cps):
         setup = fl.ProblemSetup.from_control(benchmark_cps, "x")
