@@ -1,9 +1,9 @@
 """Numerical laboratory for quadratic-driver backward SDEs and their PDEs.
 
-Three independent solution routes (regression Monte Carlo on the original or
-exponentially transformed backward equation, and a finite-difference march of
-the quasilinear PDE) are cross-checked against each other and against the
-closed-form quadratic value of the unperturbed tracking problem.
+Five independent solution routes (the tracking problem's closed-form quadratic
+value, a finite-difference march of the quasilinear PDE, and regression Monte
+Carlo on the original, exponentially transformed and drift-eliminated backward
+equation) are cross-checked against each other.
 """
 
 from .bsde import (BackwardSolution, BasisSpec, MartingaleResidualReport,

@@ -50,7 +50,7 @@ MIN_SUPPORT = 8           # samples a feature needs before it enters a step's fi
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 20
 
-BASIS_FAMILIES = ("polynomial", "piecewise_linear")
+BASIS_FAMILIES = {"polynomial": "degree", "piecewise_linear": "n_knots"}   # family -> label field
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class BasisSpec:
     """Regression basis: global polynomials or piecewise-linear hats.
 
     Scaling and knot placement come from the ensemble's state range, fixed
-    per solve.
+    per solve.  ``from_label`` parses what ``label`` prints, ``<family>:<degree or knots>``.
     """
 
     family: str = "polynomial"
@@ -74,9 +74,15 @@ class BasisSpec:
             raise DomainError("piecewise_linear needs at least 2 knots")
 
     def label(self) -> str:
-        if self.family == "polynomial":
-            return f"polynomial:{self.degree}"
-        return f"piecewise_linear:{self.n_knots}"
+        return f"{self.family}:{getattr(self, BASIS_FAMILIES[self.family])}"
+
+    @classmethod
+    def from_label(cls, label: str) -> "BasisSpec":
+        """The spec ``label`` names; without ``:<n>`` the family's default size."""
+        family, _, size = label.partition(":")
+        if (family := family.strip()) not in BASIS_FAMILIES:
+            raise DomainError(f"unknown basis {label!r}")
+        return cls(family, **({BASIS_FAMILIES[family]: int(size)} if size else {}))
 
 
 class _Basis:
@@ -325,6 +331,12 @@ def solve_lsmc(
         clamp_counts=clamps, n_paths=ens.n_paths, driver=spec, seed=ens.seed)
 
 
+def _check_transformable(z_quad_values: np.ndarray) -> None:
+    """Raise ``DomainError`` unless z_quad, sampled at a grid's times, is > 0 throughout."""
+    if np.any(z_quad_values <= 0.0):
+        raise DomainError("transform requires z_quad > 0 on the whole grid")
+
+
 def solve_transformed(
     ens: PathEnsemble,
     spec: DriverSpec,
@@ -343,8 +355,7 @@ def solve_transformed(
     """
     times = ens.grid.times()
     H = spec.z_quad(times)
-    if np.any(H <= 0.0):
-        raise DomainError("transform requires z_quad > 0 on the whole grid")
+    _check_transformable(H)
     M = spec.value_floor
     horizon = float(times[-1])
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .bsde import BasisSpec
 from .errors import ConfigError, DomainError, FbsdeLabError
 from .expressions import ExpressionError, parse_expression
-from .harness import (LSMC_ROUTES, ROUTES, Numerics, ProblemSetup, run_delta_sweep,
+from .harness import (LSMC_ROUTES, Numerics, ProblemSetup, input_errors, run_delta_sweep,
                       run_feynman_kac_check, run_uniqueness_check)
 from .moduli import LogPowerModulus, identity_modulus
 from .pde import PDE_SCHEMES
@@ -135,16 +135,6 @@ def _expression(section, key, errs, path, required=True, variables=("t", "x")):
     return expr
 
 
-def _basis_from_label(label: str) -> BasisSpec:
-    name, _, arg = label.partition(":")
-    name = name.strip()
-    if name == "polynomial":
-        return BasisSpec("polynomial", degree=int(arg or 2))
-    if name == "piecewise_linear":
-        return BasisSpec("piecewise_linear", n_knots=int(arg or 8))
-    raise DomainError(f"unknown basis {label!r}")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate config text; collects all errors."""
     errs = _Collector()
@@ -229,8 +219,8 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     basis = numerics.basis
     if basis_raw is not None:
         try:
-            basis = _basis_from_label(basis_raw)
-        except (ValueError, DomainError) as exc:
+            basis = BasisSpec.from_label(basis_raw)
+        except ValueError as exc:
             errs.add(f"numerics.basis: {exc}", basis_line)
     pde_raw, pde_line = _take(numerics_sec, "pde_scheme")
     pde_scheme = pde_raw or "auto"
@@ -245,52 +235,27 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
             errs.add(f"experiment.kind must be one of {_EXPERIMENTS}, got {exp_raw!r}", exp_line)
         experiment = "feynman_kac"
 
-    def _number_list(key, default, kind, noun):
-        raw, line = _take(experiment_sec, key)
-        if raw is None:
-            return list(default)
-        try:
-            return [kind(part) for part in raw.split(",") if part.strip() != ""]
-        except ValueError:
-            errs.add(f"experiment.{key}: expected comma-separated {noun}, got {raw!r}", line)
-            return list(default)
+    lines = {}   # experiment key -> its line
 
-    routes_raw, routes_line = _take(experiment_sec, "routes")
-    routes = None
-    if routes_raw is not None:
-        routes = [part.strip() for part in routes_raw.split(",") if part.strip()]
-        for name in routes:
-            if name not in ROUTES:
-                errs.add(f"experiment.routes: unknown route {name!r}; "
-                         f"expected some of {ROUTES}", routes_line)
-    deltas = _number_list("deltas", (0.0, 0.05, 0.1), float, "numbers")
-    if any(d < 0.0 for d in deltas):
-        errs.add(f"experiment.deltas: must be >= 0, got {min(deltas)!r}")
-    seeds = _number_list("seeds", (1, 2, 3, 4, 5), int, "integers")
-    if len(set(seeds)) < len(seeds):
-        errs.add(f"experiment.seeds: seeds must be distinct, got {seeds}")
-    bases_raw, bases_line = _take(experiment_sec, "bases")
-    bases = [BasisSpec("polynomial", 2), BasisSpec("piecewise_linear", n_knots=8)]
-    if bases_raw is not None:
+    def _list(key, default, kind, noun=None):   # without a noun, an error reports kind's words
+        raw, lines[key] = _take(experiment_sec, key)
+        if raw is None:
+            return default
         try:
-            bases = [_basis_from_label(part) for part in bases_raw.split(",") if part.strip()]
-        except (ValueError, DomainError) as exc:
-            errs.add(f"experiment.bases: {exc}", bases_line)
-    if len(set(bases)) < len(bases):
-        errs.add(f"experiment.bases: bases must be distinct, got {bases_raw!r}", bases_line)
-    if experiment == "feynman_kac" and routes is not None and len(set(routes)) < 2:
-        errs.add(f"experiment.routes: feynman_kac compares at least 2 distinct routes, "
-                 f"got {routes}", routes_line)
-    if experiment == "uniqueness" and routes is not None and (
-            not routes or len(set(routes)) < len(routes) or not set(routes) <= set(LSMC_ROUTES)):
-        errs.add(f"experiment.routes: uniqueness takes distinct Monte Carlo routes "
-                 f"from {LSMC_ROUTES}, got {routes}", routes_line)
-    if experiment == "uniqueness" and len(seeds) < 3:
-        errs.add(f"experiment.seeds: uniqueness needs at least 3 seeds, got {seeds}")
-    if experiment == "uniqueness" and len(bases) < 2:
-        errs.add(f"experiment.bases: uniqueness needs at least 2 bases, got {len(bases)}")
-    if experiment == "delta_sweep" and not deltas:
-        errs.add("experiment.deltas: delta_sweep needs at least one delta")
+            return [kind(part) for part in raw.split(",") if part.strip()]
+        except ValueError as exc:
+            why = str(exc) if noun is None else f"expected comma-separated {noun}, got {raw!r}"
+            errs.add(f"experiment.{key}: {why}", lines[key])
+            return default
+
+    routes = _list("routes", None, str.strip)
+    deltas = _list("deltas", [0.0, 0.05, 0.1], float, "numbers")
+    seeds = _list("seeds", [1, 2, 3, 4, 5], int, "integers")
+    bases = _list("bases", [BasisSpec("polynomial", 2), BasisSpec("piecewise_linear", n_knots=8)],
+                  BasisSpec.from_label)
+    for key, message in input_errors(experiment, routes=routes, seeds=seeds, bases=bases,
+                                     deltas=deltas).items():
+        errs.add(f"experiment.{key}: {message}", lines[key])
     if experiment == "delta_sweep" and kind == "driver":
         errs.add("delta_sweep requires problem.kind = lqr")
     kappa_raw, kappa_line = _take(experiment_sec, "kappa")

@@ -79,10 +79,15 @@ def _feedback_law(cps: ControlProblemSpec, gradient: Callable) -> Callable:
     return lambda t, x: -cps.B(t) * gradient(t, x) / (2.0 * cps.control_weight(t))
 
 
+def _check_closed_form(cps: ControlProblemSpec | None) -> None:
+    """Raise ``DomainError`` unless ``cps`` is a control problem with the closed form."""
+    if cps is None or cps.delta != 0.0:
+        raise DomainError("the closed form needs a control problem with delta == 0")
+
+
 def solve_riccati(cps: ControlProblemSpec, tgrid: TimeGrid) -> RiccatiSolution:
     """Integrate the quadratic-coefficient system backward with classical RK4."""
-    if cps.delta != 0.0:
-        raise DomainError("closed-form quadratic value requires delta = 0")
+    _check_closed_form(cps)
     T = cps.horizon
     k2 = cps.terminal_weight
     xiT = float(cps.target(T))

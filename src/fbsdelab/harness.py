@@ -23,8 +23,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bsde import BasisSpec, _check_driftless, solve_girsanov, solve_lsmc, solve_transformed
-from .control import _write_rows, solve_riccati
+from .bsde import (BasisSpec, _check_driftless, _check_transformable, solve_girsanov,
+                   solve_lsmc, solve_transformed)
+from .control import _check_closed_form, _write_rows, solve_riccati
 from .errors import DomainError, SolverError
 from .pde import SpaceGrid, solve_pde
 from .problem import ControlProblemSpec, DriverSpec, ForwardSpec
@@ -160,10 +161,10 @@ def _riccati_estimate(setup: ProblemSetup, numerics: Numerics) -> RouteEstimate:
     return RouteEstimate("riccati", float(ric.value(0.0, setup.control.x0)), 0.0, 1e-9)
 
 
-def _driftless_reason(setup: ProblemSetup, numerics: Numerics, ens=None) -> str | None:
-    try:   # known only on paths
-        if ens is not None:
-            _check_driftless(ens, setup.forward)
+def _reason(check: Callable, *args) -> str | None:
+    """Why a route does not apply: the message its solver's ``check`` raises, or None."""
+    try:
+        check(*args)
     except DomainError as exc:
         return str(exc)
 
@@ -177,20 +178,57 @@ class _Route(NamedTuple):
 
 
 ROUTE_TABLE = {
-    "riccati": _Route(None, lambda s, num: _riccati_estimate(s, num), lambda s, num, ens=None: (
-        None if s.control is not None and s.control.delta == 0.0
-        else "the closed form needs a control problem with delta == 0")),
+    "riccati": _Route(None, lambda s, num: _riccati_estimate(s, num),
+                      lambda s, num, ens=None: _reason(_check_closed_form, s.control)),
     "pde": _Route(None, lambda s, num: _pde_estimate(s, num)),
     "direct": _Route("problem", lambda s, ens, b: solve_lsmc(ens, s.driver, b, estimate_only=True)),
     "transformed": _Route("problem", lambda s, ens, b: solve_transformed(
-        ens, s.driver, b, estimate_only=True), lambda s, num, ens=None: (
-        None if np.all(s.driver.z_quad(num.time_grid(s.forward).times()) > 0.0)
-        else "transform requires z_quad > 0 on the whole grid")),   # solve_transformed's words
+        ens, s.driver, b, estimate_only=True), lambda s, num, ens=None: _reason(
+        _check_transformable, s.driver.z_quad(num.time_grid(s.forward).times()))),
     "girsanov": _Route("driftless", lambda s, ens, b: solve_girsanov(
-        ens, s.driver, s.forward, b, estimate_only=True), _driftless_reason),
+        ens, s.driver, s.forward, b, estimate_only=True), lambda s, num, ens=None: (
+        None if ens is None else _reason(_check_driftless, ens, s.forward))),   # known on paths
 }
 ROUTES = tuple(ROUTE_TABLE)
 LSMC_ROUTES = tuple(name for name, route in ROUTE_TABLE.items() if route.paths)
+
+
+def input_errors(experiment: str | None = None, *, routes=None, seeds=(), bases=(),
+                 deltas=()) -> dict:
+    """Every rule on an experiment's inputs, as ``{input: its first broken rule's message}``:
+    known routes (None: all), deltas >= 0 and distinct seeds and bases (a repeat is no
+    independent row) whatever the experiment, and the lengths and routes its kind needs."""
+    labels = ",".join(basis.label() for basis in bases)
+    rules = [   # (input, broken, message), in reporting order
+        *(("routes", True, f"unknown route {name!r}; expected some of {ROUTES}")
+          for name in routes or () if name not in ROUTES),
+        ("routes", experiment == "feynman_kac" and routes is not None and len(set(routes)) < 2,
+         f"feynman_kac compares at least 2 distinct routes, got {routes}"),
+        ("routes", experiment == "uniqueness" and routes is not None and (
+            not routes or len(set(routes)) < len(routes) or not set(routes) <= set(LSMC_ROUTES)),
+         f"uniqueness takes distinct Monte Carlo routes from {LSMC_ROUTES}, got {routes}"),
+        ("seeds", len(set(seeds)) < len(seeds), f"seeds must be distinct, got {list(seeds)}"),
+        ("seeds", experiment == "uniqueness" and len(seeds) < 3,
+         f"uniqueness needs at least 3 seeds, got {list(seeds)}"),
+        ("bases", len(set(bases)) < len(bases), f"bases must be distinct, got {labels!r}"),
+        ("bases", experiment == "uniqueness" and len(bases) < 2,
+         f"uniqueness needs at least 2 bases, got {labels!r}"),
+        ("deltas", any(d < 0.0 for d in deltas),
+         f"deltas must be >= 0, got {min(deltas, default=0.0)!r}"),
+        ("deltas", experiment == "delta_sweep" and not deltas,
+         "delta_sweep needs at least one delta"),
+    ]
+    errors = {}
+    for name, broken, message in rules:
+        if broken:
+            errors.setdefault(name, message)
+    return errors
+
+
+def _require_inputs(experiment: str | None = None, **inputs) -> None:
+    """Raise ``DomainError`` with the first message of ``input_errors``, if any."""
+    for message in input_errors(experiment, **inputs).values():
+        raise DomainError(message)
 
 
 def _richer_candidates(basis: BasisSpec) -> list:
@@ -234,9 +272,6 @@ def _lsmc_estimates(setup: ProblemSetup, numerics: Numerics, jobs: list, meta: d
     if tgrid.n_steps >= 2:
         half = TimeGrid(tgrid.t_start, tgrid.t_end, tgrid.n_steps // 2)
         ensembles.append((half, 0, "half-step"))
-    for route, _, _ in jobs:   # before any ensemble is simulated
-        if route not in LSMC_ROUTES:
-            raise DomainError(f"unknown Monte Carlo route {route!r}; expected one of {LSMC_ROUTES}")
     found, lost = {}, []   # job -> [value, stat_err, probe shifts...]; (route, lost probe)
     dropped, as_direct_on = set(), []   # skipped routes; per ensemble serving girsanov
 
@@ -324,8 +359,7 @@ def _lsmc_estimate(setup: ProblemSetup, numerics: Numerics, route: str,
 
 def estimate_route(setup: ProblemSetup, numerics: Numerics, route: str) -> RouteEstimate:
     """One route's estimate with its error budget; ``DomainError`` says why it does not apply."""
-    if route not in ROUTE_TABLE:
-        raise DomainError(f"unknown route {route!r}")
+    _require_inputs(routes=[route])
     if ROUTE_TABLE[route].paths:
         return _lsmc_estimate(setup, numerics, route)
     if reason := ROUTE_TABLE[route].reason(setup, numerics):
@@ -351,17 +385,15 @@ def run_feynman_kac_check(setup: ProblemSetup, numerics: Numerics,
     skipped and its reason recorded in ``meta["skipped"]``; fewer than two
     routes left raises, before any ensemble where the reasons need no paths.
     """
+    _require_inputs("feynman_kac", routes=routes)   # before any estimate
     names = list(dict.fromkeys(ROUTES if routes is None else routes))
-    for route in names:   # every name is checked before any estimate
-        if route not in ROUTE_TABLE:
-            raise DomainError(f"unknown route {route!r}")
     skipped = {r: why for r in names if (why := ROUTE_TABLE[r].reason(setup, numerics))}
 
     def left(route=None, reason=None) -> list:   # after skipping route: the routes left, >= 2
         skipped.update({route: reason} if route else {})
-        if len(kept := [r for r in names if r not in skipped]) < 2:
-            raise DomainError(f"need at least 2 distinct routes to compare, got {kept}"
-                              + "".join(f"; {r} skipped: {why}" for r, why in skipped.items()))
+        kept = [r for r in names if r not in skipped]
+        if message := input_errors("feynman_kac", routes=kept).get("routes"):
+            raise DomainError(message + "".join(f"; {r} skipped: {w}" for r, w in skipped.items()))
         return kept
 
     meta = {"label": setup.label, "seed": numerics.seed, "n_paths": numerics.n_paths,
@@ -392,16 +424,7 @@ def run_uniqueness_check(
     estimate).  On a violation the whole grid of estimates is recomputed at
     doubled path count; only a persisting violation fails the experiment.
     """
-    if len(seed_list) < 3:
-        raise DomainError("need at least 3 seeds")
-    if len(basis_list) < 2:
-        raise DomainError("need at least 2 bases")
-    if not routes:
-        raise DomainError("need at least 1 route, got an empty route list")
-    # a repeat would count as one more independent row
-    for noun, items in (("seeds", seed_list), ("bases", basis_list), ("routes", routes)):
-        if len(set(items)) < len(items):
-            raise DomainError(f"{noun} must be distinct, got {list(items)}")
+    _require_inputs("uniqueness", routes=list(routes), seeds=seed_list, bases=basis_list)
 
     def collect(num: Numerics):
         jobs = [(route, seed, basis)
@@ -448,11 +471,8 @@ def run_delta_sweep(cps: ControlProblemSpec, numerics: Numerics, deltas: list) -
     the quadratic baseline within 5e-3, and a midpoint refinement of the
     largest gap checks continuity in delta empirically.
     """
-    if any(d < 0.0 for d in deltas):
-        raise DomainError("perturbation strengths must be >= 0")
+    _require_inputs("delta_sweep", deltas=deltas)
     uniq = sorted(set(float(d) for d in deltas))
-    if not uniq:
-        raise DomainError("no deltas supplied")
 
     def pde_value(delta: float) -> RouteEstimate:
         setup = ProblemSetup.from_control(replace(cps, delta=delta), label=f"delta={delta:g}")

@@ -149,11 +149,9 @@ class ControlProblemSpec:
                            sigma=lambda t, x: self.sigma(t), x0=self.x0, horizon=self.horizon)
 
     def hamiltonian_quad_coefficient(self, t):
-        """H(t) = B^2 / (2 k1 sigma^2), the z-curvature of the reduced driver."""
-        sig = self.sigma(t)
-        if np.any(sig == 0.0):
-            raise DomainError("sigma vanishes; the reduced quadratic driver is undefined")
-        return self.B(t) ** 2 / (2.0 * self.control_weight(t) * sig ** 2)
+        """H(t) = B^2 / (2 k1 sigma^2), the reduced driver's z-curvature; not finite at sigma 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.B(t) ** 2 / (2.0 * self.control_weight(t) * self.sigma(t) ** 2)
 
     def driver_spec(self) -> DriverSpec:
         """Reduced driver of the value-function equation for this problem."""

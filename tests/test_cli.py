@@ -3,7 +3,10 @@ from pathlib import Path
 import pytest
 
 import fbsdelab.cli as cli
-from fbsdelab.errors import ConfigError
+from fbsdelab.bsde import BasisSpec
+from fbsdelab.errors import ConfigError, DomainError
+from fbsdelab.harness import (LSMC_ROUTES, run_delta_sweep, run_feynman_kac_check,
+                              run_uniqueness_check)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,7 +91,7 @@ class TestParseConfig:
             ("[numerics]\nn_paths = 0", "numerics.n_paths: must be >= 1"),
             ("[numerics]\nx_lo = -3", "unknown key numerics.x_lo"),
             ("routes = pde,quantum", "experiment.routes: unknown route 'quantum'"),
-            ("deltas = 0,-0.1", "experiment.deltas: must be >= 0"),
+            ("deltas = 0,-0.1", "experiment.deltas: deltas must be >= 0, got -0.1"),
             ("seeds = 1.2,1.7,2.9", "experiment.seeds: expected comma-separated integers"),
             ("seeds = 1,2,1", "experiment.seeds: seeds must be distinct"),
         ]
@@ -238,6 +241,56 @@ class TestMain:
         assert code == 0 and "single_band: PASS" in out and "# routes = ['direct']" in out
         rows = (tmp_path / "u" / "table.csv").read_text().splitlines()[1:]
         assert len(rows) == 6 and all(row.startswith("direct,") for row in rows)
+
+    @pytest.mark.parametrize("cfg, key, value", [
+        ("heat.cfg", "routes", "pde,quantum"),
+        ("heat.cfg", "routes", "pde,pde"),
+        ("lqr_uniqueness.cfg", "routes", "direct,pde"),
+        ("lqr_uniqueness.cfg", "seeds", "1,2,1"),
+        ("lqr_uniqueness.cfg", "seeds", "1,2"),
+        ("lqr_uniqueness.cfg", "bases", "polynomial:4,polynomial:4"),
+        ("lqr_uniqueness.cfg", "bases", "polynomial:4"),
+        ("lqr_sweep.cfg", "deltas", "0,-0.1"),
+        ("lqr_sweep.cfg", "deltas", ""),
+    ])
+    def test_cli_and_library_give_the_same_message(self, tmp_path, capsys, cfg, key, value):
+        # each input rule is worded once: the config error is the runner's DomainError
+        text = (CONFIG_DIR / cfg).read_text()
+        config = cli.parse_config(text)
+        parse = {"routes": str.strip, "seeds": int, "bases": BasisSpec.from_label,
+                 "deltas": float}[key]
+        inputs = {"routes": config.routes, "seeds": config.seeds, "bases": config.bases,
+                  "deltas": config.deltas,
+                  key: [parse(part) for part in value.split(",") if part.strip()]}
+        with pytest.raises(DomainError) as exc:
+            if config.experiment == "feynman_kac":
+                run_feynman_kac_check(config.setup, config.numerics, routes=inputs["routes"])
+            elif config.experiment == "uniqueness":
+                run_uniqueness_check(config.setup, config.numerics, inputs["seeds"],
+                                     inputs["bases"], routes=inputs["routes"] or LSMC_ROUTES)
+            else:
+                run_delta_sweep(config.control, config.numerics, inputs["deltas"])
+        lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+        lines.insert(lines.index("[experiment]") + 1, f"{key} = {value}")
+        path = tmp_path / cfg
+        path.write_text("\n".join(lines) + "\n")
+        code = self.run_main("run", str(path), "--out-dir", str(tmp_path / "x"))
+        errors = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert [line for line in errors if line.endswith(f"experiment.{key}: {exc.value}")
+                and line.startswith("config error: ")], (errors, str(exc.value))
+
+    def test_vanishing_sigma_writes_a_failing_condition_report(self, tmp_path, capsys):
+        # sigma(0) = 0: the reduced z_quad is not finite there, which its clause reports
+        text = (CONFIG_DIR / "lqr_condition.cfg").read_text()
+        assert "\nsigma = 1\n" in text
+        path = tmp_path / "sigma_t.cfg"
+        path.write_text(text.replace("\nsigma = 1\n", "\nsigma = t\n"))
+        code = self.run_main("check-condition", str(path), "--out-dir", str(tmp_path / "c"))
+        assert code == 1
+        report = (tmp_path / "c" / "condition_report.txt").read_text()
+        assert "z_quad_positive: FAIL witness=(0.0,) non-finite value" in report.splitlines()
+        assert capsys.readouterr().err == ""
 
     def test_verb_picks_the_rules_of_its_experiment(self, tmp_path):
         # two seeds are too few for uniqueness, not for the condition check the verb runs

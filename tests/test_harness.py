@@ -173,7 +173,7 @@ class TestFeynmanKac:
             fl.run_feynman_kac_check(heat_setup(), light_numerics(),
                                      routes=["riccati", "transformed", "direct"])
         assert str(err.value) == (
-            f"need at least 2 distinct routes to compare, got ['direct']; "
+            f"feynman_kac compares at least 2 distinct routes, got ['direct']; "
             f"riccati skipped: {CLOSED_FORM}; transformed skipped: {TRANSFORM}")
         assert calls == [] and solved == []
 
@@ -185,8 +185,8 @@ class TestFeynmanKac:
             fl.run_feynman_kac_check(heat_setup(sigma=lambda t, x: x),
                                      light_numerics(n_paths=2000, n_steps=8),
                                      routes=["direct", "girsanov"])
-        assert str(err.value) == (f"need at least 2 distinct routes to compare, got ['direct']; "
-                                  f"girsanov skipped: {SIGMA}")
+        assert str(err.value) == (f"feynman_kac compares at least 2 distinct routes, "
+                                  f"got ['direct']; girsanov skipped: {SIGMA}")
         assert [(grid.n_steps, seed) for _, grid, seed in calls] == [(8, 101)]
 
     @pytest.mark.parametrize("routes", [["pde"], ["pde", "pde"]])
@@ -205,8 +205,8 @@ class TestFeynmanKac:
             return fl.solve_pde(*args, **kw)
 
         monkeypatch.setattr(harness, "solve_pde", counting)
-        with pytest.raises(DomainError, match=r"need at least 2 distinct routes to compare, "
-                                              r"got \['pde'\]"):
+        with pytest.raises(DomainError, match=r"feynman_kac compares at least 2 distinct "
+                                              r"routes, got \['pde', 'pde'\]"):
             fl.run_feynman_kac_check(benchmark_setup, light_numerics(n_space=41, pde_steps=20),
                                      routes=["pde", "pde"])
         assert calls == []
@@ -560,15 +560,16 @@ class TestUniqueness:
         # a non-LSMC name must not run as direct and count as one more row
         calls = count_simulations(monkeypatch)
         bases = [fl.BasisSpec("polynomial", 2), fl.BasisSpec("polynomial", 3)]
-        for routes in (("quantum", "direct"), ("direct", "pde")):
-            with pytest.raises(DomainError, match="unknown Monte Carlo route"):
+        for routes, message in ((("quantum", "direct"), "unknown route 'quantum'"),
+                                (("direct", "pde"), "uniqueness takes distinct Monte Carlo routes")):
+            with pytest.raises(DomainError, match=message):
                 fl.run_uniqueness_check(benchmark_setup, light_numerics(), [1, 2, 3],
                                         bases, routes=routes)
         assert calls == []
 
     @pytest.mark.parametrize("routes, message", [
-        ((), "empty route list"),
-        (("direct", "direct"), "routes must be distinct"),
+        ((), r"uniqueness takes distinct Monte Carlo routes .*, got \[\]"),
+        (("direct", "direct"), "uniqueness takes distinct Monte Carlo routes"),
     ])
     def test_empty_or_repeated_routes_rejected_before_any_ensemble(self, monkeypatch,
                                                                    routes, message):
