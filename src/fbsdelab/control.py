@@ -69,10 +69,6 @@ class RiccatiSolution:
         P, q, _ = self.coefficients(t)
         return 2.0 * P * np.asarray(x, float) + q
 
-    def feedback(self, t, x):
-        """u(t, x) = -B (2 P x + q) / (2 k1), the optimal affine feedback."""
-        return _feedback_law(self.problem, self.gradient)(t, x)
-
 
 def _feedback_law(cps: ControlProblemSpec, gradient: Callable) -> Callable:
     """u(t, x) = -B(t) gradient(t, x) / (2 control_weight(t)), the feedback of a value gradient."""

@@ -6,20 +6,28 @@ reproducible record.  The grammar is deliberately small:
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := unary ('^' factor)?          # right-associative power
-    unary   := '-' unary | atom
+    factor  := '-' factor | power
+    power   := atom ('^' factor)?           # right-associative; -2^2 = -(2^2)
     atom    := NUMBER | 'pi' | 'e' | 't' | 'x' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := exp | ln | sin | cos | tanh
 
-``**`` is accepted as a synonym for ``^``.  Evaluation is vectorized over
-numpy arrays.  A coefficient's time slope comes from ``time_derivative``,
+``**`` is accepted as a synonym for ``^``.  Python's own parser reads the
+text, with ``^`` spelled ``**`` (the same precedence and associativity), behind
+a whitelist that admits exactly this grammar: numbers are plain decimals
+(``2``, ``0.5``, ``.5``, ``5.``, ``1e-3``), and every other construct Python
+knows is an ``ExpressionError`` with its column in the text as written.  Each
+expression is compiled once into a function of (t, x) that sees only the five
+functions, the two constants and its own literals.  Evaluation is vectorized
+over numpy arrays.  A coefficient's time slope comes from ``time_derivative``,
 which differences any function of time, expression or not.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import dataclass
+import re
+import warnings
 
 import numpy as np
 
@@ -43,189 +51,95 @@ _FUNCS = {
 
 _CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
-@dataclass(frozen=True)
+# Python reads some text that no node records (comments, line joins, Unicode
+# names it normalises to ASCII), so the grammar's alphabet is checked first.
+_OUTSIDE_ALPHABET = re.compile(r"[^ \t0-9A-Za-z.+\-*/^()]")
+
+_DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 class Expr:
-    """A parsed expression tree.
+    """A compiled expression over the variables t and x."""
 
-    ``op`` is one of 'num', 'var', '+', '-', '*', '/', '^', 'neg' or a
-    function name; ``args`` holds child nodes, ``value`` the literal for
-    'num' and the variable name for 'var'.
-    """
-
-    op: str
-    args: tuple = ()
-    value: float | str | None = None
-    source: str = ""
+    def __init__(self, source: str, fn, names: frozenset):
+        self.source = source
+        self._fn = fn
+        self._names = names
+        self._t, self._x = "t" in names, "x" in names
 
     def __call__(self, t=0.0, x=0.0):
-        return self._eval(t, x)
-
-    def _eval(self, t, x):
-        op = self.op
-        if op == "num":
-            return self.value
-        if op == "var":   # numpy floats, as in arrays: (-0.5) ** 0.5 is NaN, not complex
-            v = t if self.value == "t" else x
-            return np.float64(v) if type(v) in (int, float) else v
-        if op == "neg":
-            return -self.args[0]._eval(t, x)
-        if op in _FUNCS:
-            return _FUNCS[op](self.args[0]._eval(t, x))
-        a = self.args[0]._eval(t, x)
-        b = self.args[1]._eval(t, x)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        if op == "^":
-            return a ** b
-        raise AssertionError(f"unknown op {op!r}")
+        # numpy floats, as in arrays: (-0.5) ** 0.5 is NaN, not complex
+        if self._t and type(t) in (int, float):
+            t = np.float64(t)
+        if self._x and type(x) in (int, float):
+            x = np.float64(x)
+        return self._fn(t, x)
 
     def uses(self, name: str) -> bool:
-        if self.op == "var":
-            return self.value == name
-        return any(a.uses(name) for a in self.args)
+        return name in self._names
 
     def __repr__(self):
         return f"Expr({self.source!r})"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ExpressionError(message, self.pos, self.text)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            if self.take("+"):
-                node = Expr("+", (node, self.term()))
-            elif self.take("-"):
-                node = Expr("-", (node, self.term()))
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            if self.take("*"):
-                node = Expr("*", (node, self.factor()))
-            elif self.take("/"):
-                node = Expr("/", (node, self.factor()))
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        # python convention: -2^2 = -(2^2), and 2^-3 works
-        if self.take("-"):
-            return Expr("neg", (self.factor(),))
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.atom()
-        self.skip_ws()
-        if self.text.startswith("**", self.pos):
-            self.pos += 2
-            return Expr("^", (node, self.factor()))
-        if self.peek() == "^":
-            self.pos += 1
-            return Expr("^", (node, self.factor()))
-        return node
-
-    def atom(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of expression")
-        ch = self.text[self.pos]
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return node
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch.isalpha() or ch == "_":
-            return self.identifier()
-        self.error(f"unexpected {ch!r}")
-
-    def number(self) -> Expr:
-        start = self.pos
-        seen_exp = False
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isdigit() or c == ".":
-                self.pos += 1
-            elif c in "eE" and not seen_exp and self.pos + 1 < len(self.text) \
-                    and (self.text[self.pos + 1].isdigit() or self.text[self.pos + 1] in "+-"):
-                seen_exp = True
-                self.pos += 1
-                if self.text[self.pos] in "+-":
-                    self.pos += 1
-            else:
-                break
-        token = self.text[start:self.pos]
-        try:
-            return Expr("num", value=np.float64(token))
-        except ValueError:
-            self.pos = start
-            self.error(f"bad number {token!r}")
-
-    def identifier(self) -> Expr:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        name = self.text[start:self.pos]
-        if name in ("t", "x"):
-            return Expr("var", value=name)
-        if name in _CONSTANTS:
-            return Expr("num", value=_CONSTANTS[name])
-        if name in _FUNCS:
-            if not self.take("("):
-                self.error(f"function {name!r} requires parentheses")
-            arg = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return Expr(name, (arg,))
-        self.pos = start
-        self.error(f"unknown name {name!r}")
-
-
 def parse_expression(text: str) -> Expr:
-    """Parse ``text`` into an expression tree over variables t and x."""
-    node = _Parser(text).parse()
-    object.__setattr__(node, "source", text)
-    return node
+    """Parse ``text`` into a compiled expression over variables t and x."""
+    body = text.strip()
+    lead = len(text) - len(text.lstrip())
+    # column in ``text`` of each character of ``src``, and of its end
+    cols = [lead + i for i, ch in enumerate(body) for _ in range(1 + (ch == "^"))]
+    cols.append(lead + len(body))
+    src = body.replace("^", "**")
+
+    def fail(message, k):
+        raise ExpressionError(message, cols[k], text)
+
+    def segment(node):
+        return text[cols[node.col_offset]:cols[node.end_col_offset]]
+
+    bad = _OUTSIDE_ALPHABET.search(src)
+    if bad:
+        fail(f"unexpected {bad.group()!r}", bad.start())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a literal Python warns about is an error
+            tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        fail(exc.msg, exc.offset - 1 if exc.offset else len(src))   # offset 0: end of input
+
+    names = set()
+    namespace = {"__builtins__": {}, **_FUNCS, **_CONSTANTS}
+
+    def admit(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            node.left, node.right = admit(node.left), admit(node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node.operand = admit(node.operand)
+        elif isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) not in _FUNCS:
+                fail(f"unknown function {segment(node.func)!r}", node.func.col_offset)
+            if len(node.args) != 1 or node.keywords:
+                fail(f"function {node.func.id!r} takes one argument", node.col_offset)
+            node.args[0] = admit(node.args[0])
+        elif isinstance(node, ast.Name):
+            if node.id not in ("t", "x", *_CONSTANTS):
+                fail(f"unknown name {node.id!r}", node.col_offset)
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and _DECIMAL.fullmatch(segment(node)):
+            # a name, not a constant: Python would fold (0-1)**0.5 to complex
+            name = f"_{len(namespace)}"
+            namespace[name] = np.float64(segment(node))
+            return ast.copy_location(ast.Name(name, ast.Load()), node)
+        else:
+            fail(f"unexpected {segment(node)!r}", node.col_offset)
+        return node
+
+    fn = ast.parse("lambda t, x: 0", mode="eval")
+    fn.body.body = admit(tree.body)
+    return Expr(text, eval(compile(fn, "<expression>", "eval"), namespace),
+                frozenset(names - _CONSTANTS.keys()))
 
 
 def time_derivative(fn, t, span: float = 1.0):

@@ -347,6 +347,42 @@ kind = check_condition
         assert code == 1
         assert "NOT established" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa, code, clause, hypothesis", [
+        ("identity", 1,
+         "y_term_modulus_bound: FAIL witness=(0.0, 0.08333333333333333, 0.16666666666666666) ",
+         "uniqueness hypothesis: NOT established"),
+        ("logpower:0.3:1", 0, "y_term_modulus_bound: PASS", "uniqueness hypothesis: holds"),
+    ])
+    def test_y_term_reaches_the_modulus_clause(self, tmp_path, capsys, kappa, code, clause,
+                                               hypothesis):
+        # v = 2 + cos(x) e^(t-1) solves this driver problem, whose y-term is 0.5 y
+        text = f"""
+[problem]
+kind = driver
+mu = 0.5*sin(x)
+sigma = 1
+source = 1 + 0.5*sin(x)^2*exp(t-1) + 0.5*sin(x)^2*exp(2*(t-1))
+z_quad = 1
+y_term = 0.5*x
+terminal = 2 + cos(x)
+x0 = 0
+T = 1
+
+[experiment]
+kind = check_condition
+kappa = {kappa}
+phi = 1
+"""
+        cfg = tmp_path / "y_term.cfg"
+        cfg.write_text(text)
+        assert self.run_main("check-condition", str(cfg), "--out-dir", str(tmp_path / "c")) == code
+        report = (tmp_path / "c" / "condition_report.txt").read_text().splitlines()
+        for line in (clause, hypothesis):
+            assert any(r.startswith(line) for r in report), (line, report)
+        captured = capsys.readouterr()
+        assert hypothesis in captured.out and captured.err == ""
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_coefficient_exits_1_with_error_line(self, tmp_path, capsys):
         # z_quad is NaN for t < 0.5; the PDE evaluates it at Python float times

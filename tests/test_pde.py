@@ -371,9 +371,9 @@ class TestFeedbackExtraction:
         tg = fl.TimeGrid(0.0, 1.0, 400)
         sol = fl.solve_pde(benchmark_setup.forward, benchmark_setup.driver, sg, tg)
         policy = fl.extract_feedback(sol, benchmark_cps)
-        ric = fl.solve_riccati(benchmark_cps, tg)
+        riccati = fl.ControlPolicy.riccati_feedback(fl.solve_riccati(benchmark_cps, tg))
         for (t, x) in [(0.0, 1.0), (0.3, -0.7), (0.7, 2.0), (0.5, 0.0)]:
-            assert policy(t, x) == pytest.approx(ric.feedback(t, x), abs=1e-2)
+            assert policy(t, x) == pytest.approx(riccati(t, x), abs=1e-2)
 
     def test_constant_extrapolation_beyond_grid(self, benchmark_cps, benchmark_setup):
         sg = fl.SpaceGrid(-5.0, 7.0, 201)
