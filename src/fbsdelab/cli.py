@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bsde import BasisSpec
-from .errors import ConfigError, DomainError, FbsdeLabError
-from .expressions import ExpressionError, parse_expression
+from .errors import ConfigError, FbsdeLabError
+from .expressions import parse_expression
 from .harness import (LSMC_ROUTES, Numerics, ProblemSetup, input_errors, run_delta_sweep,
                       run_feynman_kac_check, run_uniqueness_check)
 from .moduli import LogPowerModulus, identity_modulus
@@ -95,44 +95,99 @@ def _read_sections(text: str, errs: _Collector) -> dict:
     return sections
 
 
-def _take(section: dict, key: str):
-    """Read a key once: it leaves the section, so what stays is unknown."""
-    return section.pop(key, (None, None))
+_REQUIRED = object()   # the default of a key that must be given
 
 
-def _number(section, key, errs, path, kind=float, default=None, minimum=None):
-    raw, line = _take(section, key)
+def _read(section, key, errs, path, parse, default=_REQUIRED):
+    """Read a key once: it leaves the section, so what stays is unknown.
+
+    A missing required key, and any ``ValueError`` of ``parse``, is reported;
+    then, as when the key is absent, the default stands.
+    """
+    raw, line = section.pop(key, (None, None))
     if raw is None:
-        if default is None:
+        if default is _REQUIRED:
             errs.add(f"missing required key {path}.{key}")
         return default
     try:
-        value = kind(raw)
-    except ValueError:
-        errs.add(f"{path}.{key}: expected a {kind.__name__}, got {raw!r}", line)
-        return default
-    if minimum is not None and value < minimum:
-        errs.add(f"{path}.{key}: must be >= {minimum}, got {value!r}", line)
-        return default
-    return value
-
-
-def _expression(section, key, errs, path, required=True, variables=("t", "x")):
-    raw, line = _take(section, key)
-    if raw is None:
-        if required:
-            errs.add(f"missing required key {path}.{key}")
-        return None
-    try:
-        expr = parse_expression(raw)
-    except ExpressionError as exc:
+        return parse(raw)
+    except ValueError as exc:
         errs.add(f"{path}.{key}: {exc}", line)
-        return None
-    for var in ("t", "x"):
-        if var not in variables and expr.uses(var):
-            errs.add(f"{path}.{key}: may not use variable {var!r}", line)
-            return None
-    return expr
+        return default
+
+
+def _number(kind, minimum=None):   # the parsers below raise ValueError with the message
+    def parse(raw):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValueError(f"expected a {kind.__name__}, got {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value!r}")
+        return value
+    return parse
+
+
+def _expression(*variables):
+    def parse(raw):
+        expr = parse_expression(raw)
+        for var in ("t", "x"):
+            if var not in variables and expr.uses(var):
+                raise ValueError(f"may not use variable {var!r}")
+        return expr
+    return parse
+
+
+def _items(kind, noun=None):   # 'key =' is []; without a noun, an error reports kind's words
+    def parse(raw):
+        try:
+            return [kind(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            if noun is None:
+                raise
+            raise ValueError(f"expected comma-separated {noun}, got {raw!r}") from None
+    return parse
+
+
+def _scheme(raw):
+    if raw not in PDE_SCHEMES:
+        raise ValueError(f"unknown scheme {raw!r}")
+    return raw
+
+
+def _modulus(raw):
+    if raw == "identity":
+        return identity_modulus
+    name, _, args = raw.partition(":")
+    if name != "logpower":
+        raise ValueError(f"unknown modulus {raw!r}")
+    cutoff, _, exponent = args.partition(":")
+    return LogPowerModulus(cutoff=float(cutoff or 0.3), exponent=float(exponent or 1.0))
+
+
+def _directory(raw):
+    if not raw:
+        raise ValueError(f"expected a directory, got {raw!r}")
+    return raw
+
+
+_PROBLEM_KEYS = {   # kind -> key -> (parse, default), in reporting order
+    "lqr": {**dict.fromkeys(("A", "B", "sigma", "target", "control_weight"),
+                            (_expression("t"), _REQUIRED)),
+            "delta": (_number(float, 0.0), 0.0), "terminal_weight": (_number(float, 0.0), 0.0),
+            "x0": (_number(float), _REQUIRED), "T": (_number(float), _REQUIRED)},
+    "driver": {**dict.fromkeys(("mu", "sigma", "source"), (_expression("t", "x"), _REQUIRED)),
+               "z_quad": (_expression("t"), _REQUIRED), "terminal": (_expression("x"), _REQUIRED),
+               **dict.fromkeys(("z_slope", "y_term"), (_expression("t", "x"), None)),
+               "value_floor": (_number(float), 0.0),
+               "x0": (_number(float), _REQUIRED), "T": (_number(float), _REQUIRED)},
+}
+
+_NUMERICS_KEYS = {   # key -> (parse, default), in reporting order
+    key: (parse, getattr(Numerics(), key)) for key, parse in (
+        ("n_paths", _number(int, 1)), ("n_steps", _number(int, 1)), ("n_space", _number(int, 4)),
+        ("pde_steps", _number(int, 1)), ("seed", _number(int)),
+        ("basis", BasisSpec.from_label), ("pde_scheme", _scheme))}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -156,126 +211,55 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
     if "experiment" not in sections:
         errs.add("missing [experiment] section")
 
-    kind_raw, kind_line = _take(problem, "kind")
+    kind_raw, kind_line = problem.pop("kind", (None, None))
     kind = (kind_raw or "").strip()
-    if kind not in ("lqr", "driver"):
+    if kind not in _PROBLEM_KEYS:
         if kind_raw is not None or problem:
             errs.add(f"problem.kind must be 'lqr' or 'driver', got {kind_raw!r}", kind_line)
         kind = None
 
     setup = None
     control = None
-    if kind == "lqr":
-        A = _expression(problem, "A", errs, "problem", variables=("t",))
-        B = _expression(problem, "B", errs, "problem", variables=("t",))
-        sigma = _expression(problem, "sigma", errs, "problem", variables=("t",))
-        target = _expression(problem, "target", errs, "problem", variables=("t",))
-        k1 = _expression(problem, "control_weight", errs, "problem", variables=("t",))
-        delta = _number(problem, "delta", errs, "problem", float, default=0.0, minimum=0.0)
-        k2 = _number(problem, "terminal_weight", errs, "problem", float, default=0.0, minimum=0.0)
-        x0 = _number(problem, "x0", errs, "problem", float)
-        T = _number(problem, "T", errs, "problem", float)
-        if not errs.errors and None not in (A, B, sigma, target, k1, x0, T):
-            try:
-                control = ControlProblemSpec(
-                    A=A, B=B, sigma=sigma, delta=delta, target=target,
-                    control_weight=k1, terminal_weight=k2, x0=x0, horizon=T)
-                setup = ProblemSetup.from_control(control, label="lqr")
-            except FbsdeLabError as exc:
-                errs.add(f"problem: {exc}")
-    elif kind == "driver":
-        mu = _expression(problem, "mu", errs, "problem")
-        sigma = _expression(problem, "sigma", errs, "problem")
-        source = _expression(problem, "source", errs, "problem")
-        z_quad = _expression(problem, "z_quad", errs, "problem", variables=("t",))
-        terminal = _expression(problem, "terminal", errs, "problem", variables=("x",))
-        z_slope = _expression(problem, "z_slope", errs, "problem", required=False)
-        y_term = _expression(problem, "y_term", errs, "problem", required=False)
-        floor = _number(problem, "value_floor", errs, "problem", float, default=0.0)
-        x0 = _number(problem, "x0", errs, "problem", float)
-        T = _number(problem, "T", errs, "problem", float)
-        if not errs.errors and None not in (mu, sigma, source, z_quad, terminal, x0, T):
-            try:
-                fwd = ForwardSpec(mu=mu, sigma=sigma, x0=x0, horizon=T)
-                drv = DriverSpec(
-                    source=source, z_quad=z_quad,
-                    terminal=(lambda x, _g=terminal: _g(0.0, x)),
-                    z_slope=z_slope, y_term=y_term, value_floor=floor)
-                setup = ProblemSetup(label="driver", forward=fwd, driver=drv)
-            except FbsdeLabError as exc:
-                errs.add(f"problem: {exc}")
-
-    numerics = Numerics()
-    n_paths = _number(numerics_sec, "n_paths", errs, "numerics", int,
-                      default=numerics.n_paths, minimum=1)
-    n_steps = _number(numerics_sec, "n_steps", errs, "numerics", int,
-                      default=numerics.n_steps, minimum=1)
-    n_space = _number(numerics_sec, "n_space", errs, "numerics", int,
-                      default=numerics.n_space, minimum=4)
-    pde_steps = _number(numerics_sec, "pde_steps", errs, "numerics", int,
-                        default=0, minimum=0)
-    seed = _number(numerics_sec, "seed", errs, "numerics", int, default=numerics.seed)
-    basis_raw, basis_line = _take(numerics_sec, "basis")
-    basis = numerics.basis
-    if basis_raw is not None:
+    values = {key: _read(problem, key, errs, "problem", *rule)
+              for key, rule in _PROBLEM_KEYS.get(kind, {}).items()}
+    if kind and not errs.errors:
         try:
-            basis = BasisSpec.from_label(basis_raw)
-        except ValueError as exc:
-            errs.add(f"numerics.basis: {exc}", basis_line)
-    pde_raw, pde_line = _take(numerics_sec, "pde_scheme")
-    pde_scheme = pde_raw or "auto"
-    if pde_scheme not in PDE_SCHEMES:
-        errs.add(f"numerics.pde_scheme: unknown scheme {pde_raw!r}", pde_line)
-        pde_scheme = "auto"
+            if kind == "lqr":
+                control = ControlProblemSpec(horizon=values.pop("T"), **values)
+                setup = ProblemSetup.from_control(control, label="lqr")
+            else:
+                fwd = ForwardSpec(horizon=values.pop("T"),
+                                  **{key: values.pop(key) for key in ("mu", "sigma", "x0")})
+                terminal = values.pop("terminal")
+                drv = DriverSpec(terminal=lambda x: terminal(0.0, x), **values)
+                setup = ProblemSetup(label="driver", forward=fwd, driver=drv)
+        except FbsdeLabError as exc:
+            errs.add(f"problem: {exc}")
 
-    exp_raw, exp_line = _take(experiment_sec, "kind")
+    numerics = {key: _read(numerics_sec, key, errs, "numerics", *rule)
+                for key, rule in _NUMERICS_KEYS.items()}
+
+    exp_raw, exp_line = experiment_sec.pop("kind", (None, None))
     experiment = exp_raw or ""
     if experiment not in _EXPERIMENTS:
         if experiment_sec or exp_raw is not None:
             errs.add(f"experiment.kind must be one of {_EXPERIMENTS}, got {exp_raw!r}", exp_line)
         experiment = "feynman_kac"
 
-    lines = {}   # experiment key -> its line
-
-    def _list(key, default, kind, noun=None):   # without a noun, an error reports kind's words
-        raw, lines[key] = _take(experiment_sec, key)
-        if raw is None:
-            return default
-        try:
-            return [kind(part) for part in raw.split(",") if part.strip()]
-        except ValueError as exc:
-            why = str(exc) if noun is None else f"expected comma-separated {noun}, got {raw!r}"
-            errs.add(f"experiment.{key}: {why}", lines[key])
-            return default
-
-    routes = _list("routes", None, str.strip)
-    deltas = _list("deltas", [0.0, 0.05, 0.1], float, "numbers")
-    seeds = _list("seeds", [1, 2, 3, 4, 5], int, "integers")
-    bases = _list("bases", [BasisSpec("polynomial", 2), BasisSpec("piecewise_linear", n_knots=8)],
-                  BasisSpec.from_label)
-    for key, message in input_errors(experiment, routes=routes, seeds=seeds, bases=bases,
-                                     deltas=deltas).items():
-        errs.add(f"experiment.{key}: {message}", lines[key])
+    lines = {key: line for key, (_, line) in experiment_sec.items()}
+    lists = {key: _read(experiment_sec, key, errs, "experiment", *rule) for key, rule in (
+        ("routes", (_items(str.strip), None)),
+        ("deltas", (_items(float, "numbers"), [0.0, 0.05, 0.1])),
+        ("seeds", (_items(int, "integers"), [1, 2, 3, 4, 5])),
+        ("bases", (_items(BasisSpec.from_label),
+                   [BasisSpec("polynomial", 2), BasisSpec("piecewise_linear", n_knots=8)])))}
+    for key, message in input_errors(experiment, **lists).items():
+        errs.add(f"experiment.{key}: {message}", lines.get(key))
     if experiment == "delta_sweep" and kind == "driver":
         errs.add("delta_sweep requires problem.kind = lqr")
-    kappa_raw, kappa_line = _take(experiment_sec, "kappa")
-    kappa = identity_modulus
-    if kappa_raw is not None and kappa_raw != "identity":
-        name, _, args = kappa_raw.partition(":")
-        if name != "logpower":
-            errs.add(f"experiment.kappa: unknown modulus {kappa_raw!r}", kappa_line)
-        else:
-            try:
-                cut_s, _, exp_s = args.partition(":")
-                kappa = LogPowerModulus(cutoff=float(cut_s or 0.3),
-                                        exponent=float(exp_s or 1.0))
-            except (ValueError, DomainError) as exc:
-                errs.add(f"experiment.kappa: {exc}", kappa_line)
-    phi = _expression(experiment_sec, "phi", errs, "experiment",
-                      required=False, variables=("t",))
-
-    out_raw, _ = _take(output_sec, "dir")
-    out_dir = out_raw or "out"
+    kappa = _read(experiment_sec, "kappa", errs, "experiment", _modulus, identity_modulus)
+    phi = _read(experiment_sec, "phi", errs, "experiment", _expression("t"), 0.0)
+    out_dir = _read(output_sec, "dir", errs, "output", _directory, "out")
 
     for name, section in (("problem", problem if kind else {}), ("numerics", numerics_sec),
                           ("experiment", experiment_sec), ("output", output_sec)):
@@ -284,13 +268,8 @@ def _validate(sections: dict, errs: _Collector) -> RunConfig:
             errs.add(f"unknown key {name}.{key}{suffix}", line)
     errs.raise_if_any()
     assert setup is not None
-    num = Numerics(
-        n_paths=n_paths, n_steps=n_steps, n_space=n_space,
-        pde_steps=pde_steps or None, basis=basis, pde_scheme=pde_scheme, seed=seed)
-    return RunConfig(setup=setup, control=control, numerics=num,
-                     experiment=experiment, routes=routes, deltas=deltas,
-                     seeds=seeds, bases=bases, kappa=kappa,
-                     phi=0.0 if phi is None else phi, out_dir=out_dir)
+    return RunConfig(setup=setup, control=control, numerics=Numerics(**numerics),
+                     experiment=experiment, **lists, kappa=kappa, phi=phi, out_dir=out_dir)
 
 
 def run(config: RunConfig) -> int:
@@ -343,10 +322,10 @@ def main(argv=None) -> int:
 
     errs = _Collector()
     sections = _read_sections(text, errs)
-    numerics = sections.setdefault("numerics", {})
-    for key, value in (("seed", args.seed), ("n_paths", args.paths), ("n_steps", args.steps)):
+    for name, key, value in (("numerics", "seed", args.seed), ("numerics", "n_paths", args.paths),
+                             ("numerics", "n_steps", args.steps), ("output", "dir", args.out_dir)):
         if value is not None:   # validated below exactly like the config key
-            numerics[key] = (str(value), None)
+            sections.setdefault(name, {})[key] = (str(value), None)
     verb_kind = {"sweep": "delta_sweep", "check-condition": "check_condition"}.get(args.verb)
     if verb_kind is not None and "experiment" in sections:   # validated with its own rules
         sections["experiment"]["kind"] = (verb_kind, None)
@@ -356,8 +335,6 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    if args.out_dir is not None:
-        config = replace(config, out_dir=args.out_dir)
 
     try:
         return run(config)

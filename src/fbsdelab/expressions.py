@@ -15,7 +15,8 @@ reproducible record.  The grammar is deliberately small:
 text, with ``^`` spelled ``**`` (the same precedence and associativity), behind
 a whitelist that admits exactly this grammar: numbers are plain decimals
 (``2``, ``0.5``, ``.5``, ``5.``, ``1e-3``), and every other construct Python
-knows is an ``ExpressionError`` with its column in the text as written.  Each
+knows is an ``ExpressionError`` with its column in the text as written (an
+operator's own, for ``x // 2``), as is nesting too deep to parse.  Each
 expression is compiled once into a function of (t, x) that sees only the five
 functions, the two constants and its own literals.  Evaluation is vectorized
 over numpy arrays.  A coefficient's time slope comes from ``time_derivative``,
@@ -99,6 +100,18 @@ def parse_expression(text: str) -> Expr:
     def segment(node):
         return text[cols[node.col_offset]:cols[node.end_col_offset]]
 
+    def reject(node):
+        # a construct of two or more operands (a // b, a and b, a if b else c) is
+        # reported at its operator: the text between the first two, less spaces and parentheses
+        operands = sorted((child for child in ast.iter_child_nodes(node)
+                           if hasattr(child, "col_offset")), key=lambda child: child.col_offset)
+        if len(operands) < 2:
+            fail(f"unexpected {segment(node)!r}", node.col_offset)
+        gap = src[operands[0].end_col_offset:operands[1].col_offset]
+        k = operands[1].col_offset - len(gap.lstrip(" \t)"))
+        operator = text[cols[k]:cols[operands[1].col_offset]].rstrip(" \t(")
+        fail(f"unexpected {operator!r}", k)
+
     bad = _OUTSIDE_ALPHABET.search(src)
     if bad:
         fail(f"unexpected {bad.group()!r}", bad.start())
@@ -108,6 +121,8 @@ def parse_expression(text: str) -> Expr:
             tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         fail(exc.msg, exc.offset - 1 if exc.offset else len(src))   # offset 0: end of input
+    except RecursionError:
+        fail("nested too deeply", 0)
 
     names = set()
     namespace = {"__builtins__": {}, **_FUNCS, **_CONSTANTS}
@@ -133,13 +148,16 @@ def parse_expression(text: str) -> Expr:
             namespace[name] = np.float64(segment(node))
             return ast.copy_location(ast.Name(name, ast.Load()), node)
         else:
-            fail(f"unexpected {segment(node)!r}", node.col_offset)
+            reject(node)
         return node
 
     fn = ast.parse("lambda t, x: 0", mode="eval")
-    fn.body.body = admit(tree.body)
-    return Expr(text, eval(compile(fn, "<expression>", "eval"), namespace),
-                frozenset(names - _CONSTANTS.keys()))
+    try:
+        fn.body.body = admit(tree.body)
+        code = compile(fn, "<expression>", "eval")
+    except RecursionError:
+        fail("nested too deeply", 0)
+    return Expr(text, eval(code, namespace), frozenset(names - _CONSTANTS.keys()))
 
 
 def time_derivative(fn, t, span: float = 1.0):

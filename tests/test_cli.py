@@ -27,6 +27,21 @@ T = 1
 kind = feynman_kac
 """
 
+MINIMAL_DRIVER = """
+[problem]
+kind = driver
+mu = 0
+sigma = 1
+x0 = 0
+T = 1
+source = 0
+z_quad = 0
+terminal = x^2
+
+[experiment]
+kind = feynman_kac
+"""
+
 
 def parse(text):
     return cli.parse_config(text)
@@ -113,21 +128,7 @@ class TestParseConfig:
         assert any("duplicate key" in e for e in err.value.errors)
 
     def test_driver_problem_block(self):
-        text = """
-[problem]
-kind = driver
-mu = 0
-sigma = 1
-x0 = 0
-T = 1
-source = 0
-z_quad = 0
-terminal = x^2
-
-[experiment]
-kind = feynman_kac
-"""
-        cfg = parse(text)
+        cfg = parse(MINIMAL_DRIVER)
         assert cfg.control is None
         assert float(cfg.setup.driver.terminal(3.0)) == 9.0
         assert cfg.setup.forward.x0 == 0.0
@@ -417,3 +418,141 @@ phi = 1
                                  "--steps", "16", "--seed", seed)
             assert code == 0
         assert (a / "routes.csv").read_bytes() != (b / "routes.csv").read_bytes()
+
+
+RECORDED_ERRORS = {   # case: (config text, override flags, every error in reporting order)
+    "lqr_keys": (
+        MINIMAL_LQR.replace("A = 0", "A = x").replace("B = 1", "B = 1+")
+        .replace("x0 = 1", "x0 = one").replace("delta = 0", "delta = -1")
+        .replace("T = 1\n", "").replace("terminal_weight = 0", "terminal_weight = heavy"), (),
+        ["line 4: problem.A: may not use variable 'x'",
+         "line 5: problem.B: invalid syntax (column 3 of '1+')",
+         "line 7: problem.delta: must be >= 0.0, got -1.0",
+         "line 10: problem.terminal_weight: expected a float, got 'heavy'",
+         "line 11: problem.x0: expected a float, got 'one'",
+         "missing required key problem.T"]),
+    "driver_keys": (
+        MINIMAL_DRIVER.replace("terminal = x^2", "terminal = t + x")
+        .replace("z_quad = 0", "z_quad = x\nz_slope = exp(\ny_term = foo(x)\nvalue_floor = low")
+        .replace("mu = 0", "mu = 2^^3"), (),
+        ["line 4: problem.mu: invalid syntax (column 3 of '2^^3')",
+         "line 9: problem.z_quad: may not use variable 'x'",
+         "line 13: problem.terminal: may not use variable 't'",
+         "line 10: problem.z_slope: '(' was never closed (column 4 of 'exp(')",
+         "line 11: problem.y_term: unknown function 'foo' (column 1 of 'foo(x)')",
+         "line 12: problem.value_floor: expected a float, got 'low'"]),
+    "problem_kind": (
+        MINIMAL_LQR.replace("kind = lqr", "kind = lqq"), (),
+        ["line 3: problem.kind must be 'lqr' or 'driver', got 'lqq'"]),
+    "spec_rejected": (
+        MINIMAL_LQR.replace("T = 1", "T = 0"), (),
+        ["problem: horizon must be positive"]),
+    "numerics": (
+        MINIMAL_LQR + "\n[numerics]\nn_paths = 0\nn_steps = ten\nn_space = 3\n"
+        "pde_steps = many\nseed = 1.5\nbasis = poly:4\npde_scheme = fast\n", (),
+        ["line 18: numerics.n_paths: must be >= 1, got 0",
+         "line 19: numerics.n_steps: expected a int, got 'ten'",
+         "line 20: numerics.n_space: must be >= 4, got 3",
+         "line 21: numerics.pde_steps: expected a int, got 'many'",
+         "line 22: numerics.seed: expected a int, got '1.5'",
+         "line 23: numerics.basis: unknown basis 'poly:4'",
+         "line 24: numerics.pde_scheme: unknown scheme 'fast'"]),
+    "experiment": (
+        MINIMAL_LQR.replace("kind = feynman_kac", "kind = nope\nroutes = pde,quantum\n"
+                            "deltas = a,b\nseeds = 1.2\nbases = poly:1\nkappa = cubic\nphi = x"), (),
+        ["line 15: experiment.kind must be one of ('feynman_kac', 'uniqueness', 'delta_sweep', "
+         "'check_condition'), got 'nope'",
+         "line 17: experiment.deltas: expected comma-separated numbers, got 'a,b'",
+         "line 18: experiment.seeds: expected comma-separated integers, got '1.2'",
+         "line 19: experiment.bases: unknown basis 'poly:1'",
+         "line 16: experiment.routes: unknown route 'quantum'; expected some of ('riccati', "
+         "'pde', 'direct', 'transformed', 'girsanov')",
+         "line 20: experiment.kappa: unknown modulus 'cubic'",
+         "line 21: experiment.phi: may not use variable 'x'"]),
+    "kappa_logpower": (
+        MINIMAL_LQR.replace("kind = feynman_kac",
+                            "kind = check_condition\nkappa = logpower:2\nphi = 1+"), (),
+        ["line 16: experiment.kappa: cutoff must be in (0, e^-exponent) = (0, 0.367879), got 2.0",
+         "line 17: experiment.phi: invalid syntax (column 3 of '1+')"]),
+    "input_rules": (
+        MINIMAL_LQR.replace("kind = feynman_kac", "kind = uniqueness\nroutes = direct,pde\n"
+                            "seeds = 1,2,1\nbases = polynomial:4\ndeltas = 0,-0.1"), (),
+        ["line 16: experiment.routes: uniqueness takes distinct Monte Carlo routes from "
+         "('direct', 'transformed', 'girsanov'), got ['direct', 'pde']",
+         "line 17: experiment.seeds: seeds must be distinct, got [1, 2, 1]",
+         "line 18: experiment.bases: uniqueness needs at least 2 bases, got 'polynomial:4'",
+         "line 19: experiment.deltas: deltas must be >= 0, got -0.1"]),
+    "sweep_driver": (
+        MINIMAL_DRIVER.replace("kind = feynman_kac", "kind = delta_sweep\nkappa = logpower:x"), (),
+        ["delta_sweep requires problem.kind = lqr",
+         "line 14: experiment.kappa: could not convert string to float: 'x'"]),
+    "section_reader": (
+        "stray = 1\n" + MINIMAL_LQR + "just words\n[plotting]\ncolor = red\n[numerics]\n"
+        "seed = 1\nseed = 2\nwarp_speed = 9\n[output]\ndir = o\nformat = csv\n[problem]\nextra = 1\n",
+        (),
+        ["line 1: key outside any section: 'stray = 1'",
+         "line 17: expected 'key = value', got 'just words'",
+         "line 18: unknown section [plotting]",
+         "line 22: duplicate key 'seed'",
+         "line 27: duplicate section [problem]",
+         "line 28: unknown key problem.extra for kind 'lqr'",
+         "line 23: unknown key numerics.warp_speed",
+         "line 26: unknown key output.format"]),
+    "missing_sections": (
+        "[numerics]\nn_paths = 10\n", (),
+        ["missing [problem] section", "missing [experiment] section"]),
+    "overrides": (
+        MINIMAL_LQR, ("--paths", "0", "--steps", "0", "--seed", "7"),
+        ["numerics.n_paths: must be >= 1, got 0",
+         "numerics.n_steps: must be >= 1, got 0"]),
+    "overrides_replace_keys": (
+        MINIMAL_LQR.replace("B = 1", "B = 1+") + "\n[numerics]\nn_steps = 4\n",
+        ("--steps", "0", "--paths", "-1"),
+        ["line 5: problem.B: invalid syntax (column 3 of '1+')",
+         "numerics.n_paths: must be >= 1, got -1",
+         "numerics.n_steps: must be >= 1, got 0"]),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_ERRORS)
+def test_config_errors_match_recorded(tmp_path, capsys, case):
+    # every reader's messages, in their order, byte for byte as recorded
+    text, flags, errors = RECORDED_ERRORS[case]
+    if not flags:
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(text)
+        assert err.value.errors == errors
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path), *flags]) == 2
+    assert capsys.readouterr().err == "".join(f"config error: {e}\n" for e in errors)
+
+
+@pytest.mark.parametrize("extra, flags, error", [
+    ("[numerics]\npde_scheme =", (), "line 18: numerics.pde_scheme: unknown scheme ''"),
+    ("[numerics]\npde_steps = 0", (), "line 18: numerics.pde_steps: must be >= 1, got 0"),
+    ("[output]\ndir =", (), "line 18: output.dir: expected a directory, got ''"),
+    ("", ("--out-dir", ""), "output.dir: expected a directory, got ''"),
+], ids=["pde_scheme", "pde_steps", "dir", "out_dir_flag"])
+def test_empty_values_and_zero_pde_steps_exit_2(tmp_path, monkeypatch, capsys, extra, flags,
+                                                error):
+    # only a list key reads an empty value as something (the empty list)
+    monkeypatch.chdir(tmp_path)   # where the default output.dir would land
+    path = tmp_path / "bad.cfg"
+    path.write_text(MINIMAL_LQR + "\n" + extra + "\n")
+    assert cli.main(["run", str(path), "--paths", "200", "--steps", "4", *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("source", ["+".join(["0"] * 20_000), "-" * 3000 + "x",
+                                    "+".join(["0"] * 2000)],
+                         ids=["parsed_sum", "parsed_unary_chain", "whitelisted_sum"])
+def test_deeply_nested_expression_exits_2(tmp_path, capsys, source):
+    text = (CONFIG_DIR / "heat.cfg").read_text()
+    assert "\nsource = 0\n" in text
+    path = tmp_path / "deep.cfg"
+    path.write_text(text.replace("\nsource = 0\n", f"\nsource = {source}\n"))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 10: problem.source: nested too deeply")
+    assert err.count("\n") == 1

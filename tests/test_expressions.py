@@ -119,11 +119,29 @@ def test_time_derivative_helper_falls_back_to_differences():
     ("foo(2)", 1),
     ("1..2", 3),       # the second '.'
     ("2^^3", 3),       # a column into the text as written, before ^ becomes **
+    ("x // 2", 3),     # an operator outside the grammar, not the construct it joins
+    ("(x) // 2", 5),
+    ("t and x", 3),
+    ("x if t else 1", 3),
+    ("t < x", 3),      # outside the alphabet
 ])
 def test_parse_errors_carry_position(bad, column):
     with pytest.raises(ExpressionError) as err:
         parse_expression(bad)
     assert err.value.position + 1 == column
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x // 2", "unexpected '//' (column 3 of 'x // 2')"),
+    ("(x)//(2)", "unexpected '//' (column 4 of '(x)//(2)')"),
+    ("t or x or 1", "unexpected 'or' (column 3 of 't or x or 1')"),
+    ("x is not t", "unexpected 'is not' (column 3 of 'x is not t')"),
+    ("x.real", "unexpected 'x.real' (column 1 of 'x.real')"),
+])
+def test_operator_outside_the_grammar_is_quoted(bad, message):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(bad)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [
