@@ -22,7 +22,8 @@ the same feature matrix F, filled in place (powers by recurrence for the
 polynomial basis).  One fit serves both targets: ridge-stabilized normal
 equations F^T F c = F^T targets without features that fewer than
 MIN_SUPPORT samples touch, after a condition check on the diagonally
-normalized Gram.  That design depends only on the paths and the basis, so it
+normalized Gram, which the basis supplies (for powers, from their moments).
+That design depends only on the paths and the basis, so it
 is computed once per (ensemble, basis, step), memoised on the ensemble and
 shared by every solve on it, bit for bit.  All path arrays are column-major,
 so each step's column is contiguous.  The basis is scaled to the ensemble's
@@ -104,7 +105,7 @@ class _Basis:
             buf = self._buf
             if buf is None or buf.shape[0] != x.size:
                 buf = self._buf = np.empty((x.size, self.spec.degree + 1), order="F")
-            buf[:, 0] = 1.0
+                buf[:, 0] = 1.0
             s = buf[:, 1]   # (2x - (lo + hi)) / (hi - lo), scaled to [-1, 1]
             np.multiply(x, 2.0, out=s)
             s -= self.lo + self.hi
@@ -121,19 +122,28 @@ class _Basis:
         out[rows, idx + 1] = w
         return out
 
+    def gram(self, features: np.ndarray) -> np.ndarray:
+        """F^T F / n; for powers s^j, the Hankel matrix (entry i, j: moment i + j) of the moments
+        mean(s^d) from two matrix-vector products (a BLAS dot's sum can follow the thread count)."""
+        n, p = features.shape[0], features.shape[1] - 1
+        if self.spec.family != "polynomial":
+            return features.T @ features / n
+        mom = np.concatenate([features.T @ features[:, 0], features[:, 1:].T @ features[:, p]])
+        return (mom / n)[np.add.outer(*2 * [np.arange(p + 1)])]
 
-def _design(features: np.ndarray) -> tuple:
-    """A step's regression design: (support mask, ridged normal matrix, condition).
+
+def _design(features: np.ndarray, gram: np.ndarray) -> tuple:
+    """A step's regression design from F and F^T F / n: (support mask, ridged normal, condition).
 
     Features with almost no sample support (hats whose knot interval the
     states barely visit) are dropped for the step: such a coefficient is pure
     noise, and through a quadratic-in-z driver one wild fitted value can
-    destabilize the whole recursion.
+    destabilize the whole recursion.  Only columns short in the first 512 rows are counted in full.
     """
-    n = features.shape[0]
-    gram = features.T @ features / n
+    need = min(MIN_SUPPORT, features.shape[0])
     diag = np.diag(gram).copy()
-    support = np.count_nonzero(features, axis=0) >= min(MIN_SUPPORT, n)
+    support = np.array([np.count_nonzero(f[:64 * need]) >= need or np.count_nonzero(f) >= need
+                        for f in features.T])
     support &= diag > 0.0
     sub = gram[np.ix_(support, support)]
     d = np.sqrt(diag[support])
@@ -144,6 +154,8 @@ def _design(features: np.ndarray) -> tuple:
 def _fit(features: np.ndarray, targets: np.ndarray, design: tuple, step: int):
     """Solve ``design``'s normal equations for ``targets`` (n, m); returns (fitted, coefficients).
 
+    Column-major (polynomial) features fit over ``targets``, bit for bit numpy's row-major
+    product; a row-major (hat) product may differ there, so it stays row-major.
     A condition number beyond 1e12 is an error: the basis is too rich for the paths.
     """
     support, normal, cond = design
@@ -157,7 +169,7 @@ def _fit(features: np.ndarray, targets: np.ndarray, design: tuple, step: int):
     sub_coef = np.linalg.solve(normal, rhs)
     coef = np.zeros((features.shape[1], targets.shape[1]))
     coef[support] = sub_coef
-    return features @ coef, coef
+    return np.matmul(features, coef, out=targets if features.flags.f_contiguous else None), coef
 
 
 def _implicit_y(f: Callable, m: np.ndarray, dt: float, step: int) -> np.ndarray:
@@ -246,7 +258,7 @@ def _backward_recursion(
     width = 2 if estimate_only else n_steps + 1
     V = np.empty((n_paths, width), order="F")
     Zc = None if estimate_only else np.zeros((n_paths, n_steps), order="F")
-    targets = np.empty((n_paths, 2), order="F")   # (Y_{k+1}, Y_{k+1} dW_k)
+    targets = np.empty((n_paths, 2), order="F")   # (Y_{k+1}, Y_{k+1} dW_k), then their fit
     V[:, n_steps % width] = terminal
     y_coefs: list = [None] * n_steps
     z_coefs: list = [None] * n_steps
@@ -264,7 +276,7 @@ def _backward_recursion(
             np.multiply(v_next, ens.dW[:, k], out=targets[:, 1])
             feats = basis.features(x)
             if (basis_spec, k) not in ens._memo:
-                ens._memo[basis_spec, k] = _design(feats)
+                ens._memo[basis_spec, k] = _design(feats, basis.gram(feats))
             fitted, coef = _fit(feats, targets, ens._memo[basis_spec, k], step=k)
             m = fitted[:, 0]
             zk = fitted[:, 1] / dt
@@ -278,16 +290,14 @@ def _backward_recursion(
                 f"a quadratic-in-z driver at this path count; use fewer knots, "
                 f"a polynomial basis, more paths, or the transformed route",
                 step=k)
-        if clamp is not None:
-            lo, hi = clamp
-            nonpos = float(np.mean(v <= 0.0))
-            if nonpos > 0.01:
+        if clamp is None:
+            V[:, k % width] = v
+        else:   # v is finite, so clipped = outside the band; none clipped, v >= U_FLOOR > 0
+            clamp_counts[k] = np.count_nonzero(np.clip(v, *clamp, out=V[:, k % width]) != v)
+            if clamp_counts[k] and (nonpos := float(np.mean(v <= 0.0))) > 0.01:
                 raise SolverError(
                     f"transformed values <= 0 on {100 * nonpos:.1f}% of paths at step {k}; "
                     f"the transform is unreliable at this resolution", step=k)
-            clamp_counts[k] = np.count_nonzero((v < lo) | (v > hi))
-            v = np.clip(v, lo, hi)
-        V[:, k % width] = v
         if Zc is not None:
             Zc[:, k] = zk
     stderr_target = float(V[:, 1].std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

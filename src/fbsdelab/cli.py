@@ -16,6 +16,7 @@ Exit codes: 0 all criteria pass; 1 criterion failure; 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -122,6 +123,8 @@ def _number(kind, minimum=None):   # the parsers below raise ValueError with the
             value = kind(raw)
         except ValueError:
             raise ValueError(f"expected a {kind.__name__}, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value!r}")
         if minimum is not None and value < minimum:
             raise ValueError(f"must be >= {minimum}, got {value!r}")
         return value
@@ -168,6 +171,8 @@ def _modulus(raw):
 def _directory(raw):
     if not raw:
         raise ValueError(f"expected a directory, got {raw!r}")
+    if os.path.exists(raw) and not os.path.isdir(raw):
+        raise ValueError(f"{raw!r} exists and is not a directory")
     return raw
 
 

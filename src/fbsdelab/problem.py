@@ -158,7 +158,7 @@ class ControlProblemSpec:
         T = self.horizon
         return DriverSpec(
             source=lambda t, x: (x - self.target(t)) ** 2,
-            z_quad=self.hamiltonian_quad_coefficient,
+            z_quad=_full_field(self.hamiltonian_quad_coefficient, "B^2/(2 control_weight sigma^2)"),
             terminal=lambda x: self.terminal_weight * (x - self.target(T)) ** 2,
             value_floor=0.0,
         )

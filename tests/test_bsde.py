@@ -43,16 +43,46 @@ class TestBasis:
         np.testing.assert_allclose(feats, np.vander(s, degree + 1, increasing=True),
                                    rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_polynomial_gram_matches_the_product(self, degree):
+        # the Hankel matrix of the moments is F^T F / n up to rounding
+        x = np.random.default_rng(degree).normal(0.3, 2.0, 5000)
+        basis = _Basis(fl.BasisSpec("polynomial", degree), float(x.min()), float(x.max()))
+        feats = basis.features(x)
+        ref = feats.T @ feats / x.size
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))   # bounds |ref| entrywise
+        assert np.all(np.abs(basis.gram(feats) - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [5000, 300, MIN_SUPPORT - 3])
+    def test_support_count_matches_the_full_count(self, n):
+        # the prefix decides no column it leaves short: nonzeros only past it, exactly
+        # MIN_SUPPORT or one fewer, split across its end, and n below the prefix or MIN_SUPPORT
+        need = min(MIN_SUPPORT, n)
+        rng = np.random.default_rng(n)
+        feats = np.zeros((n, 7), order="F")
+        feats[:, 0] = 1.0
+        for j, rows in enumerate([
+                n - 1 - np.arange(need), n - 1 - np.arange(need - 1),
+                np.r_[0:need // 2, n - 1 - np.arange(need - need // 2)],
+                np.r_[0:need - 1], np.arange(0, n, max(1, n // need))[:need], []], start=1):
+            feats[np.asarray(rows, dtype=int), j] = rng.uniform(0.5, 1.5, len(rows))
+        full = np.count_nonzero(feats, axis=0) >= need
+        full &= np.diag(feats.T @ feats) > 0.0
+        support = _design(feats, feats.T @ feats / n)[0]
+        np.testing.assert_array_equal(support, full)
+        assert full[[1, 3, 5]].all() and not full[[2, 4, 6]].any()
+
     def test_thin_hat_feature_gets_exactly_zero_coefficient(self):
         # knots 0, .25, .5, .75, 1: only the few samples above 0.75 touch the
         # last hat, too few for MIN_SUPPORT, so the step's fit drops it
         rng = np.random.default_rng(3)
         thin = MIN_SUPPORT - 1
         x = np.concatenate([rng.uniform(0.0, 0.6, 500), np.linspace(0.8, 1.0, thin)])
-        feats = _Basis(fl.BasisSpec("piecewise_linear", n_knots=5), 0.0, 1.0).features(x)
+        basis = _Basis(fl.BasisSpec("piecewise_linear", n_knots=5), 0.0, 1.0)
+        feats = basis.features(x)
         assert np.count_nonzero(feats[:, -1]) == thin
         targets = np.asfortranarray(np.column_stack([np.sin(3 * x), x ** 2]))
-        fitted, coef = _fit(feats, targets, _design(feats), step=0)
+        fitted, coef = _fit(feats, targets, _design(feats, basis.gram(feats)), step=0)
         assert np.all(coef[-1] == 0.0)
         assert np.all(coef[:-1] != 0.0)
         assert np.all(np.isfinite(fitted))
@@ -136,7 +166,8 @@ class TestSolveLsmc:
     def test_implicit_step_evaluates_y_free_terms_once_per_step(self):
         # Newton's calls redo only the y part: source runs once per step, not
         # once per Newton evaluation (80 calls here when each rebuilt the
-        # driver); y0 and the sha256 of Y and Z were recorded then
+        # driver); y0 and the sha256 of Y and Z were recorded then, and again
+        # when the polynomial Gram came from the basis's moments
         calls = []
 
         def source(t, x):
@@ -149,11 +180,11 @@ class TestSolveLsmc:
         sol = fl.solve_lsmc(ens, spec, fl.BasisSpec("polynomial", 3))
         assert sol.scheme == "one_step_implicit"
         assert len(calls) == 16
-        assert repr(sol.y0) == "0.6611924372464901"
+        assert repr(sol.y0) == "0.6611924372464907"
         assert hashlib.sha256(sol.Y.tobytes()).hexdigest() == (
-            "d8e2058c96afbca36fad249fe937936451c5574c6b65202407162e5f5af0483f")
+            "91bd3406515df72e6eb6376606d7eb53f424ac76bcd8bb20e76fa196608f96ac")
         assert hashlib.sha256(sol.Z.tobytes()).hexdigest() == (
-            "b8fb5b9a1a240e104bfcf133cc640f1c6a0ab7787c4dfa40e46e298f955b92e7")
+            "78501f0dda42475f385c4ceebedfea7051d7278b9d5466081fd5447177f81984")
 
     def test_explicit_scheme_default_without_y_dependence(self):
         ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 2000, seed=8)
@@ -205,7 +236,7 @@ class TestDesignMemo:
         ens = fl.simulate(fwd, fl.TimeGrid(0, 1, 8), 4000, seed=11)
         fl.solve_lsmc(ens, spec, basis)   # another route fills the memo
         designs = []
-        monkeypatch.setattr(bsde, "_design", lambda f: designs.append(1) or _design(f))
+        monkeypatch.setattr(bsde, "_design", lambda f, g: designs.append(1) or _design(f, g))
         hit = solve(ens, spec, basis)
         assert designs == []
         ref = solve(self.fresh(ens), spec, basis)
@@ -304,6 +335,22 @@ class TestSolveTransformed:
         with pytest.raises(SolverError, match="unreliable"):
             fl.solve_transformed(ens, spec, fl.BasisSpec("polynomial", 4))
 
+    def test_clamp_counts_match_recorded_values(self):
+        # a few paths per late step leave [U_FLOOR, 1], under 1% of them <= 0: the
+        # solve clamps them and counts them as it did before the clamp was one clip
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 4000, seed=14)
+        sol = fl.solve_transformed(ens, driver(z_quad=1.0, terminal=lambda x: 0.3 * x ** 2),
+                                   fl.BasisSpec("polynomial", 2))
+        assert sol.clamp_counts.tolist() == [0, 0, 0, 0, 2, 2, 11, 34, 0]
+
+    def test_over_one_percent_non_positive_raises(self):
+        ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 8), 4000, seed=14)
+        spec = driver(z_quad=1.0, terminal=lambda x: x ** 2)
+        with pytest.raises(SolverError, match=r"^transformed values <= 0 on 3\.5% of paths "
+                                              r"at step 7;") as err:
+            fl.solve_transformed(ens, spec, fl.BasisSpec("polynomial", 2))
+        assert err.value.step == 7
+
     def test_time_dependent_z_quad_uses_its_derivative(self):
         # expression-tree coefficient: the moving-coefficient compensation
         # term uses the differenced time slope, and the constant solution is
@@ -323,7 +370,8 @@ class TestSolveTransformed:
     def test_step_bits_match_recorded_values(self):
         # every per-step term of the transformed driver at once: z_slope,
         # y_term and a moving z_quad (hdot != 0); y0 and the sha256 of Y and Z
-        # were recorded before the y-free terms were hoisted out of Newton
+        # were recorded before the y-free terms were hoisted out of Newton, and
+        # again when the polynomial Gram came from the basis's moments
         ens = fl.simulate(brownian(), fl.TimeGrid(0, 1, 16), 2000, seed=16)
         spec = driver(source=lambda t, x: x ** 2, z_quad=lambda t: 0.5 + 0.25 * t,
                       terminal=lambda x: 1.0 - np.exp(-x ** 2),
@@ -331,9 +379,9 @@ class TestSolveTransformed:
         sol = fl.solve_transformed(ens, spec, fl.BasisSpec("polynomial", 2))
         assert repr(sol.y0) == "0.6746198447912531"
         assert hashlib.sha256(sol.Y.tobytes()).hexdigest() == (
-            "42b8045df864351a85315fe9484182b730daadbb8be87f0b9c453a1f96c5dbe0")
+            "05b9bded7d44ea4f9ebb66a6c5a59bf0d450796d5ca60d85e3cc30ca4647f652")
         assert hashlib.sha256(sol.Z.tobytes()).hexdigest() == (
-            "ded4339bd1375b25397253a08c8653c3d94fc5f201a743c57219d57f8b4091bb")
+            "78f67173363b439fc53b71b315cf73e6aea0a37c20adfc15422d2ee14d3fd9d4")
 
     def test_affine_driver_steps_exactly(self):
         # source and z_quad constant, no y_term: u' = H source u has the exact

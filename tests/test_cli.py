@@ -293,6 +293,20 @@ class TestMain:
         assert "z_quad_positive: FAIL witness=(0.0,) non-finite value" in report.splitlines()
         assert capsys.readouterr().err == ""
 
+    def test_vanishing_sigma_run_names_the_lqr_keys(self, tmp_path, capsys):
+        # an lqr config has no z_quad key: the error names the keys the reduced one is built from
+        text = (CONFIG_DIR / "lqr_condition.cfg").read_text()
+        assert "\nsigma = 1\n" in text and "\nkind = check_condition\n" in text
+        path = tmp_path / "sigma_t.cfg"
+        path.write_text(text.replace("\nsigma = 1\n", "\nsigma = t\n").replace(
+            "\nkind = check_condition\n", "\nkind = feynman_kac\n"))
+        code = self.run_main("run", str(path), "--out-dir", str(tmp_path / "r"),
+                             "--paths", "200", "--steps", "4")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: coefficient 'B^2/(2 control_weight sigma^2)' produced a non-finite value"
+            " at (0.0,)\n")
+
     def test_verb_picks_the_rules_of_its_experiment(self, tmp_path):
         # two seeds are too few for uniqueness, not for the condition check the verb runs
         text = (CONFIG_DIR / "lqr_uniqueness.cfg").read_text()
@@ -556,3 +570,46 @@ def test_deeply_nested_expression_exits_2(tmp_path, capsys, source):
     err = capsys.readouterr().err
     assert err.startswith("config error: line 10: problem.source: nested too deeply")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    ("driver", "T = 1", "T = inf"),
+    ("driver", "T = 1", "T = nan"),
+    ("driver", "x0 = 0", "x0 = inf"),
+    ("driver", "x0 = 0", "x0 = -inf"),
+    ("driver", "terminal = x^2", "terminal = x^2\nvalue_floor = inf"),
+    ("driver", "terminal = x^2", "terminal = x^2\nvalue_floor = nan"),
+    ("lqr", "delta = 0", "delta = inf"),
+    ("lqr", "delta = 0", "delta = nan"),
+    ("lqr", "T = 1", "T = inf"),
+    ("lqr", "x0 = 1", "x0 = nan"),
+    ("lqr", "terminal_weight = 0", "terminal_weight = inf"),
+], ids=lambda v: v.splitlines()[-1].replace(" = ", "="))
+def test_non_finite_number_exits_2(tmp_path, capsys, kind, old, new):
+    # float() reads 'inf' and 'nan'; the number reader refuses them, with the key's line
+    base = {"driver": MINIMAL_DRIVER, "lqr": MINIMAL_LQR}[kind]
+    text = base.replace(f"\n{old}\n", f"\n{new}\n")
+    assert text != base
+    bad = new.splitlines()[-1]
+    key, value = bad.split(" = ")
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "x"),
+                     "--paths", "100", "--steps", "4"]) == 2
+    assert capsys.readouterr().err == (f"config error: line {text.splitlines().index(bad) + 1}: "
+                                       f"problem.{key}: must be finite, got {float(value)!r}\n")
+
+
+@pytest.mark.parametrize("via", ["flag", "key"])
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, via):
+    target = tmp_path / "taken"
+    target.write_text("")
+    text = MINIMAL_DRIVER + ("" if via == "flag" else f"\n[output]\ndir = {target}\n")
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    flags = ("--out-dir", str(target)) if via == "flag" else ()
+    assert cli.main(["run", str(path), "--paths", "100", "--steps", "4", *flags]) == 2
+    where = "" if via == "flag" else f"line {text.splitlines().index(f'dir = {target}') + 1}: "
+    assert capsys.readouterr().err == (
+        f"config error: {where}output.dir: {str(target)!r} exists and is not a directory\n")
+    assert target.read_text() == ""

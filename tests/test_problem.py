@@ -541,7 +541,9 @@ class TestSpecs:
         cps = fl.ControlProblemSpec(A=0.0, B=1.0, sigma=0.0, delta=0.0, target=0.0,
                                     control_weight=1.0, terminal_weight=0.0,
                                     x0=0.0, horizon=1.0)
-        # the driver's z_quad reports the non-finite curvature, like any coefficient
+        # the driver's z_quad reports the non-finite curvature, like any coefficient,
+        # under the name of the problem's keys it is built from
         with pytest.raises(EvaluationError) as err:
             cps.driver_spec().z_quad(0.5)
-        assert err.value.coefficient == "z_quad" and err.value.point == (0.5,)
+        assert err.value.coefficient == "B^2/(2 control_weight sigma^2)"
+        assert err.value.point == (0.5,)
